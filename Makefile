@@ -18,11 +18,12 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The live concurrent runtime is the one package whose correctness depends on
-# goroutine interleavings, so it gets a dedicated double-pass race smoke: two
-# counted runs catch schedules a single pass misses.
+# The node runtime (internal/noderun) and its two links are the code whose
+# correctness depends on goroutine interleavings, so they get a dedicated
+# double-pass race smoke: two counted runs catch schedules a single pass
+# misses.
 live-race:
-	$(GO) test -race -count=2 ./internal/live
+	$(GO) test -race -count=2 ./internal/noderun ./internal/live ./internal/netrun
 
 # Chaos smoke: the wall-clock fault scheduler's crash+partition behavior on
 # the live and net backends under the race detector — the chaos tests first
@@ -98,11 +99,17 @@ bench-json:
 	@rm -f bench-json.tmp
 	@echo wrote BENCH_$(DATE).json
 
-# Short native-fuzzing passes over the coding-theory kernels (one -fuzz
-# pattern per package run, as the fuzz engine requires).
+# Short native-fuzzing passes over every fuzz target: the coding-theory
+# kernels, the wire codec and compound splitter (the decoders that read
+# untrusted bytes), and the online checker. One -fuzz pattern per run, as
+# the fuzz engine requires.
 fuzz-smoke:
-	$(GO) test -run NONE -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure
-	$(GO) test -run NONE -fuzz FuzzMatrixInverse -fuzztime 10s ./internal/gf
+	$(GO) test -run NONE -fuzz '^FuzzErasureRoundTrip$$' -fuzztime 10s ./internal/erasure
+	$(GO) test -run NONE -fuzz '^FuzzMatrixInverse$$' -fuzztime 10s ./internal/gf
+	$(GO) test -run NONE -fuzz '^FuzzWireRoundTrip$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run NONE -fuzz '^FuzzWireDecodeRobust$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run NONE -fuzz '^FuzzCompoundSplit$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run NONE -fuzz '^FuzzOnlineChecker$$' -fuzztime 10s ./internal/consistency
 
 # Build every example and smoke-run each one (all finish in well under a
 # second), so example rot is caught on push.

@@ -26,7 +26,28 @@ package shmem
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/abd"
+	"repro/internal/cas"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
+
+// benchWrite and benchRead run one operation to completion at the cluster's
+// first writer or reader under a fair schedule on its simulator.
+func benchWrite(b *testing.B, cl *Cluster, value []byte) {
+	b.Helper()
+	if _, err := cl.Sys.RunOp(cl.Writers[0], Invocation{Kind: OpWrite, Value: value}, DefaultStepBudget); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func benchRead(b *testing.B, cl *Cluster) {
+	b.Helper()
+	if _, err := cl.Sys.RunOp(cl.Readers[0], Invocation{Kind: OpRead}, DefaultStepBudget); err != nil {
+		b.Fatal(err)
+	}
+}
 
 // E1: Figure 1 series generation at the paper's parameters.
 func BenchmarkFigure1Series(b *testing.B) {
@@ -52,22 +73,18 @@ func BenchmarkE2ClassicalComparison(b *testing.B) {
 	log2V := float64(8 * valBytes)
 	var abdNorm, soloNorm float64
 	for i := 0; i < b.N; i++ {
-		abdCl, err := DeployABD(n, f, 1, 1, false)
+		abdCl, err := abd.Deploy(abd.Options{Servers: n, F: f, Writers: 1, Readers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := Write(abdCl, 0, MakeValue(valBytes, 1)); err != nil {
-			b.Fatal(err)
-		}
+		benchWrite(b, abdCl, MakeValue(valBytes, 1))
 		abdNorm = float64(abdCl.Sys.Storage().MaxTotalBits) / log2V
 
 		soloCl, err := DeploySolo(n, f, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := Write(soloCl, 0, MakeValue(valBytes, 1)); err != nil {
-			b.Fatal(err)
-		}
+		benchWrite(b, soloCl, MakeValue(valBytes, 1))
 		soloNorm = float64(soloCl.Sys.Storage().MaxTotalBits) / log2V
 	}
 	p := Params{N: n, F: f}
@@ -84,11 +101,11 @@ func BenchmarkE3StorageVsNu(b *testing.B) {
 		b.Run(fmt.Sprintf("casgc/nu=%d", nu), func(b *testing.B) {
 			var norm float64
 			for i := 0; i < b.N; i++ {
-				cl, err := DeployCAS(n, f, 0, nu, 1)
+				cl, err := cas.Deploy(cas.Options{Servers: n, F: f, Writers: nu, Readers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := RunWorkload(cl, WorkloadSpec{
+				res, err := workload.Run(cl, WorkloadSpec{
 					Seed: 7, Writes: 5 * nu, Reads: 2, TargetNu: nu, ValueBytes: valBytes,
 				})
 				if err != nil {
@@ -103,11 +120,11 @@ func BenchmarkE3StorageVsNu(b *testing.B) {
 	b.Run("abd/nu=3", func(b *testing.B) {
 		var norm float64
 		for i := 0; i < b.N; i++ {
-			cl, err := DeployABD(n, f, 3, 1, true)
+			cl, err := abd.Deploy(abd.Options{Servers: n, F: f, Writers: 3, Readers: 1, MultiWriter: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := RunWorkload(cl, WorkloadSpec{
+			res, err := workload.Run(cl, WorkloadSpec{
 				Seed: 7, Writes: 15, Reads: 2, TargetNu: 3, ValueBytes: valBytes,
 			})
 			if err != nil {
@@ -130,12 +147,8 @@ func BenchmarkE4SingletonBound(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := Write(cl, 0, MakeValue(valBytes, 9)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Read(cl, 0); err != nil {
-			b.Fatal(err)
-		}
+		benchWrite(b, cl, MakeValue(valBytes, 9))
+		benchRead(b, cl)
 		norm = float64(cl.Sys.Storage().CurrentTotalBits) / log2V
 	}
 	b.ReportMetric(norm, "normcost")
@@ -201,11 +214,11 @@ func BenchmarkE7RestrictedClass(b *testing.B) {
 
 // E9: consistency-checker throughput on a realistic concurrent history.
 func BenchmarkE9CheckerThroughput(b *testing.B) {
-	cl, err := DeployABD(5, 2, 2, 2, true)
+	cl, err := abd.Deploy(abd.Options{Servers: 5, F: 2, Writers: 2, Readers: 2, MultiWriter: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := RunWorkload(cl, WorkloadSpec{
+	res, err := workload.Run(cl, WorkloadSpec{
 		Seed: 11, Writes: 40, Reads: 40, TargetNu: 2, ValueBytes: 32,
 	})
 	if err != nil {
@@ -232,7 +245,7 @@ func BenchmarkE10ShardedStore(b *testing.B) {
 			var res *StoreResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = RunStore(StoreOptions{
+				res, err = store.Run(StoreOptions{
 					Shards:     shards,
 					Algorithms: []string{"cas"},
 					Servers:    5,
@@ -263,7 +276,7 @@ func BenchmarkE10ShardedStore(b *testing.B) {
 // experiment's verdict record: the storage high-water mark normalized by
 // log2|V| ("normcost"), the largest single-server footprint in bits, and how
 // many shards went quiescent (liveness lost; safety is asserted via the
-// per-shard consistency checks inside RunStore either way).
+// per-shard consistency checks inside store.Run either way).
 func BenchmarkE11FaultScenarios(b *testing.B) {
 	scenarios := []string{"none", "crash-f@10", "partition@40:4000", "lossy=0.02", "delay=1:16"}
 	for _, algo := range []string{"abd-mwmr", "cas"} {
@@ -273,7 +286,7 @@ func BenchmarkE11FaultScenarios(b *testing.B) {
 				var res *StoreResult
 				for i := 0; i < b.N; i++ {
 					var err error
-					res, err = RunStore(StoreOptions{
+					res, err = store.Run(StoreOptions{
 						Shards:     2,
 						Algorithms: []string{algo},
 						Servers:    5,
@@ -408,33 +421,25 @@ func BenchmarkE14OnlineCheck(b *testing.B) {
 
 // End-to-end operation latency benchmarks for the two main algorithms.
 func BenchmarkABDWriteReadPair(b *testing.B) {
-	cl, err := DeployABD(5, 2, 1, 1, false)
+	cl, err := abd.Deploy(abd.Options{Servers: 5, F: 2, Writers: 1, Readers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := Write(cl, 0, MakeValue(64, uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Read(cl, 0); err != nil {
-			b.Fatal(err)
-		}
+		benchWrite(b, cl, MakeValue(64, uint64(i+1)))
+		benchRead(b, cl)
 	}
 }
 
 func BenchmarkCASWriteReadPair(b *testing.B) {
-	cl, err := DeployCAS(7, 2, 0, 1, 1)
+	cl, err := cas.Deploy(cas.Options{Servers: 7, F: 2, Writers: 1, Readers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := Write(cl, 0, MakeValue(64, uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Read(cl, 0); err != nil {
-			b.Fatal(err)
-		}
+		benchWrite(b, cl, MakeValue(64, uint64(i+1)))
+		benchRead(b, cl)
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"os"
 
 	shmem "repro"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -36,11 +38,11 @@ func run() error {
 	crashes := flag.Int("crashes", 0, "random server crashes during the run")
 	flag.Parse()
 
-	cl, cond, err := shmem.DeployAlgorithm(*alg, *n, *f, *nu)
+	cl, cond, err := store.DeployAlgorithm(*alg, *n, *f, *nu)
 	if err != nil {
 		return err
 	}
-	res, err := shmem.RunWorkload(cl, shmem.WorkloadSpec{
+	res, err := workload.Run(cl, workload.Spec{
 		Seed: *seed, Writes: *writes, Reads: *reads, TargetNu: *nu,
 		ValueBytes: *valueBytes, Crashes: *crashes,
 	})

@@ -1,812 +1,123 @@
-// Package live executes register-emulation clusters on a real concurrent
-// runtime: every node automaton runs on its own goroutine with a buffered
-// mailbox, messages flow over channels the moment they are sent, and
-// wall-clock time replaces the simulator's discrete steps. The node automata
-// are exactly the ones `internal/abd`, `internal/cas` and `internal/coded`
-// deploy — the cluster is only the registry; this package clones the
-// automata out of it and drives them itself, so the same deployment runs
-// unchanged on either backend.
+// Package live runs register-emulation clusters on the shared node runtime
+// (internal/noderun) with the in-memory link: a message that passes the
+// fault gate is posted straight into the target node's mailbox, and crossing
+// a goroutine boundary is the whole of its journey. Messages are ioa.Message
+// values handed between goroutines, so a sent message is never mutated.
 //
-// The contract with the simulator backend (DESIGN.md section 8):
-//
-//   - The simulator is the determinism oracle: same seed, same schedule,
-//     byte-identical histories and fingerprints. The live runtime makes NO
-//     such promise — schedules here are an accident of goroutine timing, and
-//     two runs of the same spec produce different histories.
-//   - Safety is checked the same way on both: operations are recorded in
-//     per-client logs (mutex-free — each log is owned by its node's
-//     goroutine, ordered by a shared atomic clock) and merged into an
-//     ioa.History for the internal/consistency checkers. A history the live
-//     runtime produced must pass the same condition the algorithm guarantees
-//     on the simulator.
-//   - Faults: drop and delay rules of a faults.Plan are reused verbatim —
-//     MessageFate is consulted at send time with a global send sequence
-//     number, exactly as the kernel does, with delay steps scaled to wall
-//     time by Config.StepDur. Outage windows and scheduled crash/recovery
-//     events, positioned in kernel steps, run against the same step clock
-//     via a faults.WallClock (DESIGN.md section 12): a partitioned link's
-//     messages are held until the window's wall-clock boundary, a crashed
-//     node's goroutine stops and its volatile state (mailbox, queues, the
-//     automaton itself) is discarded, and a scheduled recovery restarts the
-//     node from its last durable checkpoint (ioa.Recoverable). Recovery for
-//     a node without the Snapshot/Restore surface is the one remaining
-//     unsupported combination, rejected with faults.ErrUnsupported.
-//   - Flow control (DESIGN.md section 11): mailboxes are bounded and a
-//     sender facing a full mailbox blocks up to Config.SendTimeout before
-//     the message is dropped and counted — real backpressure in place of
-//     the old unbounded spawn-on-overflow fallback, which grew a goroutine
-//     per overflowing message, broke per-link FIFO, and lost messages with
-//     no accounting. The paper's channels are unordered, so the stronger
-//     FIFO the bounded path preserves is sound; the drop-after-deadline is
-//     message loss the asynchronous model already admits, surfaced in
-//     FaultStats.TransportDropped.
-//   - Liveness is a verdict, not a hang: every operation carries a timeout,
-//     and a run whose operations time out under a fault plan reports
-//     Quiescent with the timed-out operations pending in the history (their
-//     effects may still land — the atomicity checker's standard completion
-//     semantics cover exactly this).
+// What is specific to this link (DESIGN.md sections 8 and 11): a node loop
+// posts to its peers itself, so a full peer mailbox blocks the sender's
+// loop. While blocked, the loop siphons its own mailbox into a deferred
+// queue, so a cycle of mutually full mailboxes cannot wedge, and the post
+// drops and counts the message only after Config.SendTimeout. A message
+// addressed to a crashed node is counted loss: nothing is listening.
+// Crash and recovery need nothing from the link, since the node has no
+// resource besides its mailbox.
 package live
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/ioa"
+	"repro/internal/noderun"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // Config tunes the live runtime. The zero value selects the defaults.
-type Config struct {
-	// StepDur converts a fault plan's delay steps into wall-clock time
-	// (default 100µs; delay=1:24 thus holds messages up to ~2.4ms).
-	StepDur time.Duration
-	// OpTimeout bounds each operation's completion (default 5s). A client
-	// whose operation times out is retired — its automaton may still be
-	// waiting on lost messages — and the operation stays pending in the
-	// history unless its response arrives before shutdown.
-	OpTimeout time.Duration
-	// Mailbox is the per-node buffered channel capacity (default 128).
-	Mailbox int
-	// SendTimeout bounds how long a sender blocks on a full mailbox before
-	// the message is dropped and counted (default 1s). This is the
-	// backpressure window: under sustained overload, senders slow to the
-	// receiver's drain rate instead of growing unbounded queues.
-	SendTimeout time.Duration
-	// Pipeline is the number of operations each batch driver keeps in
-	// flight per client (default 1: one at a time, the pre-pipelining
-	// behavior). The node queues invocations and starts each only when its
-	// predecessor responds, so the client automaton still holds one
-	// operation at a time and per-client program order is preserved;
-	// recorded operation intervals never overlap within a client.
-	Pipeline int
-	// Checkpoint is the durable-state snapshot interval for nodes the fault
-	// plan schedules a recovery for (default 5ms). A recovering node
-	// restarts from its last checkpoint; state mutated after it is lost,
-	// exactly the crash-recovery model the paper's storage bounds assume.
-	Checkpoint time.Duration
-	// Sink, when non-nil, switches the runtime to streaming history mode:
-	// operations are registered with an ioa.OpFeed at invocation and
-	// released into the sink in invocation order as they settle, instead of
-	// accumulating in per-client logs merged at shutdown. The feed's own
-	// clock stamps every op, and Result.History then carries only the
-	// pending tail (the sink has absorbed everything else). Feed an
-	// OnlineChecker here to verify the run while it executes.
-	Sink ioa.HistorySink
-	// SyncOps, when positive, installs periodic quiescence points in the
-	// batch drivers: after every SyncOps issued operations (globally, across
-	// all drivers), every driver drains its in-flight operations and they
-	// meet at a barrier before any issues again. Each sync is a moment with
-	// nothing in flight — a clean cut in the recorded history — so an online
-	// checker fed through Sink is guaranteed a window-retirement opportunity
-	// at least once per sync, bounding its peak memory by construction
-	// rather than by the scheduler happening to align the clients' idle
-	// gaps. Zero disables syncing; the store engine's online-check mode
-	// (store.Options.OnlineCheck) defaults it to the retirement window, and
-	// a negative value forces it off even there.
-	SyncOps int
-	// Telemetry, when it carries a registry, streams run metrics into it:
-	// per-node storage-bit gauges sampled on a ticker next to the paper's
-	// Theorem 4.1/5.1 bounds, op counters/latency histograms from the batch
-	// drivers, online-checker lag gauges, and sampled op-lifecycle spans.
-	// nil (the default) records nothing and costs nothing on the hot path.
-	Telemetry *telemetry.RunTelemetry
-}
+type Config = noderun.Config
 
-func (c Config) withDefaults() Config {
-	if c.StepDur <= 0 {
-		c.StepDur = 100 * time.Microsecond
-	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = 5 * time.Second
-	}
-	if c.Mailbox <= 0 {
-		c.Mailbox = 128
-	}
-	if c.SendTimeout <= 0 {
-		c.SendTimeout = time.Second
-	}
-	if c.Pipeline <= 0 {
-		c.Pipeline = 1
-	}
-	if c.Checkpoint <= 0 {
-		c.Checkpoint = 5 * time.Millisecond
-	}
-	return c
-}
-
-// drainBatch bounds how many extra mailbox events a node loop handles per
-// wakeup: coalescing amortizes the scheduler round trip under load, the
-// bound keeps one hot node from running unpreempted forever.
-const drainBatch = 32
+// Interactive is a running live deployment accepting one-at-a-time client
+// operations (see noderun.Interactive).
+type Interactive = noderun.Interactive
 
 // PlanSupported reports whether a fault plan is well-formed for the live
-// runtime. Every fault class runs here now — drop/delay rules, outage
-// windows and scheduled crash/recovery events, the step-indexed ones mapped
-// onto wall time by a faults.WallClock — so this only validates the plan's
-// shape. The one genuinely unsupported combination, scheduled recovery of a
-// node without the ioa.Recoverable surface, needs the deployed automata to
-// detect and is rejected by the runtime itself with faults.ErrUnsupported.
-func PlanSupported(p *faults.Plan) error {
-	if p == nil {
-		return nil
+// runtime (see noderun.PlanSupported).
+func PlanSupported(p *faults.Plan) error { return noderun.PlanSupported(p) }
+
+// backend is the runtime's in-memory link.
+var backend = noderun.Backend{
+	Name:   "live",
+	Attach: func(rt *noderun.Runtime) (noderun.Link, error) { return link{rt}, nil },
+}
+
+// link posts every message straight into the target's mailbox.
+type link struct{ rt *noderun.Runtime }
+
+func (l link) Transmit(from, to *noderun.Node, msg ioa.Message, inLoop bool) {
+	l.rt.PostFrom(from, to, msg, inLoop)
+}
+
+func (link) Crash(*noderun.Node)                                   {}
+func (link) Recover(*noderun.Node) error                           { return nil }
+func (link) Close()                                                {}
+func (link) Loss() (dropped, requeued int)                         { return 0, 0 }
+func (link) Telemetry(*telemetry.Registry, telemetry.Label) func() { return nil }
+
+// Result reports a live run: the shared workload.Result (history, storage,
+// fault stats, latencies), plus the wall-clock throughput only a concurrent
+// runtime can measure.
+type Result struct {
+	*workload.Result
+	// PendingOps counts operations still pending at shutdown.
+	PendingOps int
+	// Elapsed, OpsPerSec and CompletedOps measure the run.
+	Elapsed      time.Duration
+	OpsPerSec    float64
+	CompletedOps int
+}
+
+// AsWorkload returns the simulator backend's result shape, so the store
+// engine aggregates either backend's shards uniformly.
+func (r *Result) AsWorkload() *workload.Result { return r.Result }
+
+// Percentile returns the p-th percentile of the durations (nearest-rank on
+// a sorted copy), or 0 for an empty slice.
+func Percentile(ds []time.Duration, p float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
 	}
-	return p.Validate()
+	sorted := append([]time.Duration(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }
 
-// event is one mailbox entry: a message delivery, or (inv != nil) an
-// operation invocation injected by the driver. Both are handled on the
-// node's own goroutine, so automaton state is goroutine-confined.
-type event struct {
-	from ioa.NodeID
-	msg  ioa.Message
-	inv  *invokeEvent
+// Run executes the workload spec on the cluster's automata under the live
+// concurrent runtime with the default Config. See RunConfig.
+func Run(cl *cluster.Cluster, spec workload.Spec) (*Result, error) {
+	return RunConfig(cl, spec, Config{})
 }
 
-// Invocation lifecycle states. The single atomic state arbitrates the race
-// between the node loop starting a queued invocation and a driver abandoning
-// it on timeout: exactly one of the two CAS transitions wins, so an
-// abandoned invocation either never ran at all or is a genuine pending op.
-const (
-	invQueued    int32 = iota // in a mailbox or node queue, not yet started
-	invStarted                // the automaton has been invoked
-	invAbandoned              // the driver gave up before it started
-)
-
-type invokeEvent struct {
-	inv   ioa.Invocation
-	done  chan []byte     // buffered 1; receives the response value when recorded
-	state atomic.Int32    // invQueued -> invStarted (node) | invAbandoned (driver)
-	span  *telemetry.Span // sampled lifecycle trace; nil for unsampled ops
-}
-
-// opRecord is one per-client log entry. InvokeTS/RespondTS come from the
-// runtime's atomic clock, whose modification order is consistent with real
-// time — so merged records preserve the real-time precedence relation the
-// consistency checkers test.
-type opRecord struct {
-	kind      ioa.OpKind
-	input     []byte
-	output    []byte
-	invokeTS  int64
-	respondTS int64 // -1 while pending
-}
-
-// nodeState is everything a node goroutine owns: the automaton clone, its
-// mailbox, the client op log and the server storage maxima. Only the node's
-// own goroutine touches these fields between start and join — across a
-// scheduled crash, ownership passes to the WallClock's event goroutine (which
-// joins the loop first) and back to the next incarnation's loop.
-type nodeState struct {
-	id   ioa.NodeID
-	node ioa.Node
-	mb   chan event // one channel for the node's whole lifetime, across incarnations
-
-	log         []opRecord
-	pendingIdx  int         // index in log of the outstanding op; -1 when none
-	pendingTk   *ioa.Ticket // outstanding op's feed ticket (streaming mode)
-	pendingDone chan []byte
-	invq        []*invokeEvent // pipelined invocations awaiting their turn
-	deferred    []event        // events siphoned off mb while blocked on a peer's full mailbox
-
-	meter            ioa.StorageMeter // nil unless the node reports storage; loop-owned (rewritten on recovery)
-	metered          bool             // set once at construction: the automaton type reports storage
-	curBits, maxBits atomic.Int64     // written by the node loop, readable mid-run
-	pendingSpan      *telemetry.Span  // outstanding op's trace span; loop-owned
-
-	// Crash-recovery machinery (DESIGN.md section 12). crashCh and loopDone
-	// belong to one incarnation of the node loop; the WallClock goroutine
-	// replaces them only between incarnations (after closing crashCh and
-	// joining loopDone), so the loop reads them race-free.
-	init     ioa.Node    // pristine automaton recovery restarts from; nil when no recovery is scheduled
-	ckpt     bool        // the plan schedules a recovery: checkpoint durable state
-	down     atomic.Bool // true between a crash and its recovery
-	crashCh  chan struct{}
-	loopDone chan struct{}
-
-	snapMu  sync.Mutex
-	snap    ioa.NodeSnapshot // last durable checkpoint (written by the loop, read at recovery)
-	hasSnap bool
-}
-
-// runtime drives one cluster's automata concurrently.
-type runtime struct {
-	cfg   Config
-	plan  *faults.Plan
-	wc    *faults.WallClock // step clock + crash/recovery event schedule
-	nodes map[ioa.NodeID]*nodeState
-
-	clock atomic.Int64  // history timestamp source (batch mode)
-	feed  *ioa.OpFeed   // streaming-mode op pipeline; nil in batch mode
-	seq   atomic.Uint64 // global send sequence number for MessageFate
-
-	tracer *telemetry.Tracer // sampled op-lifecycle spans; nil when telemetry is off
-
-	drops, delayed, delaySteps atomic.Int64
-	overflow                   atomic.Int64 // messages dropped after SendTimeout on a full mailbox
-	dead                       atomic.Int64 // messages addressed to a crashed node, dropped
-	checkpoints                atomic.Int64 // durable-state snapshots taken
-
-	timerMu sync.Mutex
-	timers  map[*time.Timer]struct{} // pending delay/outage timers, stopped at shutdown
-	stopped bool
-
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-// newRuntime clones every automaton out of the cluster registry and prepares
-// (but does not start) a node goroutine per automaton. The cluster itself is
-// left untouched — its simulator System remains pristine.
-func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*runtime, error) {
-	if err := PlanSupported(plan); err != nil {
+// RunConfig executes the workload on the live runtime (see noderun.Run).
+func RunConfig(cl *cluster.Cluster, spec workload.Spec, cfg Config) (*Result, error) {
+	res, elapsed, err := noderun.Run(backend, cl, spec, cfg)
+	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{
-		cfg:    cfg,
-		plan:   plan,
-		nodes:  make(map[ioa.NodeID]*nodeState),
-		timers: make(map[*time.Timer]struct{}),
-		done:   make(chan struct{}),
+	r := &Result{
+		Result:       res,
+		PendingOps:   len(res.History.PendingOps()),
+		Elapsed:      elapsed,
+		CompletedOps: len(res.Latencies),
 	}
-	if cfg.Sink != nil {
-		rt.feed = ioa.NewOpFeed(cfg.Sink)
+	if secs := elapsed.Seconds(); secs > 0 {
+		r.OpsPerSec = float64(r.CompletedOps) / secs
 	}
-	if cfg.Telemetry.Active() {
-		rt.tracer = cfg.Telemetry.Registry.Tracer()
-	}
-	for _, id := range cl.Sys.NodeIDs() {
-		n, err := cl.Automaton(id)
-		if err != nil {
-			return nil, err
-		}
-		ns := &nodeState{
-			id:         id,
-			node:       n.Clone(),
-			mb:         make(chan event, cfg.Mailbox),
-			pendingIdx: -1,
-			crashCh:    make(chan struct{}),
-			loopDone:   make(chan struct{}),
-		}
-		ns.meter, _ = ns.node.(ioa.StorageMeter)
-		ns.metered = ns.meter != nil
-		rt.nodes[id] = ns
-	}
-	if plan != nil {
-		for _, id := range plan.RecoveredNodes() {
-			ns := rt.nodes[id]
-			if ns == nil {
-				return nil, fmt.Errorf("live: fault plan schedules recovery of unknown node %d", id)
-			}
-			if _, ok := ns.node.(ioa.Recoverable); !ok {
-				return nil, fmt.Errorf("live: %w: node %d (%T) is scheduled to recover but has no Snapshot/Restore surface",
-					faults.ErrUnsupported, id, ns.node)
-			}
-			ns.init = ns.node.Clone()
-			ns.ckpt = true
-		}
-	}
-	rt.wc = faults.NewWallClock(plan, cfg.StepDur)
-	return rt, nil
+	return r, nil
 }
 
-// start launches one goroutine per node, then starts the wall clock: its
-// epoch is stamped after every loop is running, so a crash scheduled at step
-// 0 still finds a live incarnation to stop.
-func (rt *runtime) start() {
-	for _, ns := range rt.nodes {
-		rt.wg.Add(1)
-		go rt.loop(ns)
-	}
-	rt.wc.Start(faults.NodeHooks{Crash: rt.crashNode, Recover: rt.recoverNode})
-}
-
-// stop shuts the node goroutines down, stops every pending delay timer and
-// joins everything. The wall clock stops first: after wc.Stop returns no
-// crash/recovery hook is in flight, so no new loop goroutine can race
-// wg.Wait. After stop returns, the per-node logs and storage maxima are safe
-// to read from the caller, and no timer from this run remains scheduled.
-func (rt *runtime) stop() {
-	rt.wc.Stop()
-	close(rt.done)
-	rt.timerMu.Lock()
-	rt.stopped = true
-	for t := range rt.timers {
-		t.Stop()
-	}
-	rt.timers = nil
-	rt.timerMu.Unlock()
-	rt.wg.Wait()
-}
-
-// after schedules f to run once after d, tracking the timer so stop can
-// cancel it. The old untracked time.AfterFunc calls leaked every in-flight
-// delay timer past Close — harmless-looking until a short run with a long
-// delay tail keeps firing into a dead runtime.
-func (rt *runtime) after(d time.Duration, f func()) {
-	rt.timerMu.Lock()
-	defer rt.timerMu.Unlock()
-	if rt.stopped {
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		// The callback can only fire after the registration below released
-		// the mutex, so t is always the registered timer here.
-		rt.timerMu.Lock()
-		delete(rt.timers, t)
-		rt.timerMu.Unlock()
-		select {
-		case <-rt.done:
-		default:
-			f()
-		}
-	})
-	rt.timers[t] = struct{}{}
-}
-
-// loop is one node goroutine — one incarnation of the node: it handles its
-// first event, then drains up to drainBatch more without going back to the
-// scheduler — under load a node wakes once per burst instead of once per
-// message. Events the node siphoned off its own mailbox while blocked
-// sending (see postFrom) are handled first: they arrived before anything
-// still queued, so per-link FIFO holds. A checkpointing node additionally
-// snapshots its durable state on a ticker — on its own goroutine, so
-// Snapshot never races Deliver/Invoke — with one initial checkpoint before
-// any event, so a crash at any point has an image to recover from.
-func (rt *runtime) loop(ns *nodeState) {
-	crashed, exited := ns.crashCh, ns.loopDone
-	defer close(exited)
-	defer rt.wg.Done()
-	var tick <-chan time.Time
-	if ns.ckpt {
-		rt.checkpoint(ns)
-		t := time.NewTicker(rt.cfg.Checkpoint)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		if len(ns.deferred) > 0 {
-			select {
-			case <-rt.done:
-				return
-			case <-crashed:
-				return
-			default:
-			}
-			ev := ns.deferred[0]
-			ns.deferred = ns.deferred[1:]
-			rt.handle(ns, ev)
-			continue
-		}
-		select {
-		case <-rt.done:
-			return
-		case <-crashed:
-			return
-		case <-tick:
-			rt.checkpoint(ns)
-		case ev := <-ns.mb:
-			rt.handle(ns, ev)
-			for i := 0; i < drainBatch && len(ns.deferred) == 0; i++ {
-				select {
-				case ev := <-ns.mb:
-					rt.handle(ns, ev)
-				default:
-					i = drainBatch
-				}
-			}
-		}
-	}
-}
-
-// checkpoint images the node's durable state under the snapshot mutex, where
-// a later recovery reads it.
-func (rt *runtime) checkpoint(ns *nodeState) {
-	r, ok := ns.node.(ioa.Recoverable)
-	if !ok {
-		return
-	}
-	snap := r.Snapshot()
-	ns.snapMu.Lock()
-	ns.snap, ns.hasSnap = snap, true
-	ns.snapMu.Unlock()
-	rt.checkpoints.Add(1)
-}
-
-// crashNode stops a node mid-run: runs on the WallClock's event goroutine.
-// The incarnation's loop is signalled and joined, then the node's volatile
-// state — everything but the checkpoint — is discarded: queued mailbox
-// events, siphoned events, not-yet-started invocations (abandoned, so their
-// drivers see "never happened"). An operation the automaton held mid-protocol
-// stays pending in the log forever, which is exactly what the consistency
-// checkers' completion semantics expect of an op lost to a crash.
-func (rt *runtime) crashNode(id ioa.NodeID) {
-	ns := rt.nodes[id]
-	if ns == nil || ns.down.Load() {
-		return
-	}
-	ns.down.Store(true)
-	close(ns.crashCh)
-	<-ns.loopDone
-	rt.discardVolatile(ns)
-}
-
-// discardVolatile empties the node's mailbox and queues between incarnations.
-// Only called with no loop goroutine running, so the loop-owned fields are
-// safe to touch.
-func (rt *runtime) discardVolatile(ns *nodeState) {
-	for {
-		select {
-		case ev := <-ns.mb:
-			if ev.inv != nil {
-				ev.inv.state.CompareAndSwap(invQueued, invAbandoned)
-			}
-		default:
-			ns.deferred = nil
-			for _, ie := range ns.invq {
-				ie.state.CompareAndSwap(invQueued, invAbandoned)
-			}
-			ns.invq = nil
-			ns.pendingIdx = -1
-			if ns.pendingTk != nil {
-				// The op dies with the crash: permanently pending.
-				ns.pendingTk.Abandon()
-				ns.pendingTk = nil
-			}
-			ns.pendingDone = nil
-			return
-		}
-	}
-}
-
-// recoverNode restarts a crashed node from its last durable checkpoint: runs
-// on the WallClock's event goroutine, strictly after the node's crash (the
-// clock fires all node events in schedule order on one goroutine). The new
-// incarnation is a pristine clone of the deployed automaton with the
-// checkpoint restored onto it — volatile state since the checkpoint is lost,
-// the durable state provably survives.
-func (rt *runtime) recoverNode(id ioa.NodeID) {
-	ns := rt.nodes[id]
-	if ns == nil || !ns.down.Load() || ns.init == nil {
-		return
-	}
-	node := ns.init.Clone()
-	ns.snapMu.Lock()
-	snap, ok := ns.snap, ns.hasSnap
-	ns.snapMu.Unlock()
-	if ok {
-		// Same automaton type by construction; Restore cannot reject it.
-		if err := node.(ioa.Recoverable).Restore(snap); err != nil {
-			return // leave the node down rather than rejoin with bogus state
-		}
-	}
-	ns.node = node
-	ns.meter, _ = node.(ioa.StorageMeter)
-	rt.discardVolatile(ns) // frames that raced the down flag die with the crash
-	ns.crashCh = make(chan struct{})
-	ns.loopDone = make(chan struct{})
-	ns.down.Store(false)
-	rt.wg.Add(1)
-	go rt.loop(ns)
-}
-
-// handle processes one mailbox event on the node's goroutine. Invocations
-// are queued and started only while no operation is pending, so a pipelining
-// driver may submit several ops while the automaton still holds one at a
-// time; deliveries go straight to the automaton.
-func (rt *runtime) handle(ns *nodeState, ev event) {
-	if ev.inv != nil {
-		ns.invq = append(ns.invq, ev.inv)
-	} else {
-		rt.apply(ns, ns.node.Deliver(ev.from, ev.msg))
-	}
-	// Start queued invocations while the client is free. Normally at most
-	// one starts; the loop only cascades when an invocation responds
-	// immediately (e.g. a degenerate automaton), or skips abandoned entries.
-	for ns.pendingIdx < 0 && ns.pendingTk == nil && len(ns.invq) > 0 {
-		ie := ns.invq[0]
-		ns.invq = ns.invq[1:]
-		if !ie.state.CompareAndSwap(invQueued, invStarted) {
-			continue // abandoned before it started: it never happened
-		}
-		ie.span.Mark(telemetry.StageStart)
-		ns.pendingSpan = ie.span
-		if rt.feed != nil {
-			ns.pendingTk = rt.feed.Begin(ns.id, ie.inv.Kind, ie.inv.Value)
-		} else {
-			ns.log = append(ns.log, opRecord{
-				kind:      ie.inv.Kind,
-				input:     ie.inv.Value,
-				invokeTS:  rt.clock.Add(1),
-				respondTS: -1,
-			})
-			ns.pendingIdx = len(ns.log) - 1
-		}
-		ns.pendingDone = ie.done
-		rt.apply(ns, ns.node.(ioa.Client).Invoke(ie.inv))
-	}
-}
-
-// apply records a response (the timestamp is taken before the effects' sends
-// are dispatched: the response is determined by then, so shrinking the
-// recorded operation interval to that point is sound for the checkers — the
-// linearization point of a quorum operation precedes response
-// determination), dispatches the sends, and refreshes the storage meters.
-func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
-	if eff.Response != nil && (ns.pendingIdx >= 0 || ns.pendingTk != nil) {
-		out := eff.Response.Value
-		if ns.pendingTk != nil {
-			// Stamped and released to the sink before the effects' sends
-			// dispatch, so the feed clock preserves real-time precedence
-			// exactly as the batch clock does.
-			ns.pendingTk.Complete(out)
-			ns.pendingTk = nil
-		} else {
-			rec := &ns.log[ns.pendingIdx]
-			rec.output = out
-			rec.respondTS = rt.clock.Add(1)
-			ns.pendingIdx = -1
-		}
-		ns.pendingSpan.Mark(telemetry.StageEffect)
-		ns.pendingSpan = nil
-		if ns.pendingDone != nil {
-			ns.pendingDone <- out // buffered, single outstanding op: never blocks
-			ns.pendingDone = nil
-		}
-	}
-	for _, send := range eff.Sends {
-		rt.send(ns, send)
-	}
-	if ns.meter != nil {
-		bits := int64(ns.meter.StorageBits())
-		ns.curBits.Store(bits)
-		ioa.RaiseMax(&ns.maxBits, bits)
-	}
-}
-
-// send applies the fault plan's drop/delay rules and routes the message to
-// the target mailbox. Sequence numbers are global, as in the kernel, so the
-// same plan seed draws from the same decision stream.
-func (rt *runtime) send(from *nodeState, s ioa.Send) {
-	to := rt.nodes[s.To]
-	if to == nil {
-		return
-	}
-	ev := event{from: from.id, msg: s.Msg}
-	if rt.plan != nil {
-		seq := rt.seq.Add(1) - 1
-		drop, delay := rt.plan.MessageFate(from.id, s.To, seq, rt.wc.Step())
-		if drop {
-			rt.drops.Add(1)
-			return
-		}
-		if delay > 0 {
-			rt.delayed.Add(1)
-			rt.delaySteps.Add(int64(delay))
-			rt.after(time.Duration(delay)*rt.cfg.StepDur, func() {
-				// A timer goroutine has no mailbox to siphon; it blocks
-				// plainly with the deadline.
-				rt.deliver(nil, to, ev)
-			})
-			return
-		}
-	}
-	rt.deliver(from, to, ev)
-}
-
-// deliver gates the message on the plan's outage windows at the current
-// step, then posts it. A blocked message is held — not dropped — and
-// re-delivered at the next outage boundary, re-checking then in case windows
-// abut; held messages are accounted as delays of (boundary - now) steps,
-// exactly as on the net backend. Messages addressed to a crashed node are
-// transport-level loss: nothing is listening.
-func (rt *runtime) deliver(sender, to *nodeState, ev event) {
-	if hold, steps := rt.wc.Hold(ev.from, to.id); hold > 0 {
-		rt.delayed.Add(1)
-		rt.delaySteps.Add(int64(steps))
-		rt.after(hold, func() { rt.deliver(nil, to, ev) })
-		return
-	}
-	if to.down.Load() {
-		rt.dead.Add(1)
-		return
-	}
-	rt.postFrom(sender, to, ev, rt.cfg.SendTimeout)
-}
-
-// post enqueues with backpressure from outside any node loop: the fast path
-// is a non-blocking channel send; a full mailbox blocks the caller up to
-// timeout, after which the event is dropped and counted. It reports whether
-// the event was enqueued.
-func (rt *runtime) post(to *nodeState, ev event) bool {
-	return rt.postFrom(nil, to, ev, rt.cfg.SendTimeout)
-}
-
-// postFrom enqueues with backpressure and deadlock avoidance. A node loop
-// (sender != nil) blocked on a peer's full mailbox keeps siphoning its OWN
-// mailbox into its deferred queue, so a cycle of mutually full mailboxes
-// (client blocked on server, server blocked on that client's responses)
-// cannot wedge: every blocked node keeps consuming, some send always
-// completes, and the system self-regulates to the slowest consumer instead
-// of spawning a goroutine per overflowing message. Only when the deadline
-// expires with the peer still full is the event dropped and counted —
-// message loss the unordered lossy channel model already admits. Per-link
-// FIFO is preserved: siphoned events are handled before anything still in
-// the mailbox, in arrival order.
-func (rt *runtime) postFrom(sender, to *nodeState, ev event, timeout time.Duration) bool {
-	select {
-	case to.mb <- ev:
-		return true
-	case <-rt.done:
-		return false
-	default:
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	for {
-		if sender == nil {
-			select {
-			case to.mb <- ev:
-				return true
-			case <-t.C:
-				rt.overflow.Add(1)
-				return false
-			case <-rt.done:
-				return false
-			}
-		}
-		select {
-		case to.mb <- ev:
-			return true
-		case own := <-sender.mb:
-			sender.deferred = append(sender.deferred, own)
-		case <-sender.crashCh:
-			// The sender's incarnation was crashed while blocked here; the
-			// undelivered message dies with it, and the loop above notices
-			// the crash as soon as this send unwinds.
-			rt.dead.Add(1)
-			return false
-		case <-t.C:
-			rt.overflow.Add(1)
-			return false
-		case <-rt.done:
-			return false
-		}
-	}
-}
-
-// pendingOp is a handle on one asynchronously submitted invocation.
-type pendingOp struct {
-	ie     *invokeEvent
-	failed bool // the post was dropped; the op never reached the node
-}
-
-// invokeAsync submits an operation at a client and returns immediately; the
-// node starts it when every earlier invocation at that client has responded.
-// Pipelining drivers keep several handles open per client.
-func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *pendingOp {
-	ns := rt.nodes[client]
-	ie := &invokeEvent{inv: inv, done: make(chan []byte, 1)}
-	if rt.tracer != nil {
-		ie.span = rt.tracer.Begin(inv.Kind.String())
-	}
-	p := &pendingOp{ie: ie}
-	// Invocations get the full op timeout to enqueue, not just SendTimeout:
-	// a client mailbox saturated by protocol traffic clears as the node
-	// drains, and dropping the invocation early would under-run fault-free
-	// workloads that are merely overloaded.
-	if !rt.postFrom(nil, ns, event{inv: ie}, rt.cfg.OpTimeout) {
-		ie.state.Store(invAbandoned)
-		p.failed = true
-		ie.span.End()
-	} else {
-		ie.span.Mark(telemetry.StageQueue)
-	}
-	return p
-}
-
-// wait blocks for the response, the timeout, or ctx cancellation. It returns
-// the response value, whether the operation actually started (a started but
-// incomplete op is genuinely pending: it may still take effect and must stay
-// pending in any checked history; an unstarted one never happened), and
-// whether it completed.
-func (p *pendingOp) wait(ctx context.Context, timeout time.Duration) (out []byte, started, ok bool) {
-	if p.failed {
-		return nil, false, false
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case out := <-p.ie.done:
-		p.ie.span.Mark(telemetry.StageComplete)
-		p.ie.span.End()
-		return out, true, true
-	case <-t.C:
-	case <-ctx.Done():
-	}
-	if p.ie.state.CompareAndSwap(invQueued, invAbandoned) {
-		p.ie.span.End()
-		return nil, false, false // never started; the node will skip it
-	}
-	// Already started — it may even have completed in the race window.
-	select {
-	case out := <-p.ie.done:
-		p.ie.span.Mark(telemetry.StageComplete)
-		p.ie.span.End()
-		return out, true, true
-	default:
-		p.ie.span.End()
-		return nil, true, false
-	}
-}
-
-// abandon cancels an invocation that has not started and reports whether it
-// did; a started invocation is left to run.
-func (p *pendingOp) abandon() bool {
-	if p.failed || p.ie.state.CompareAndSwap(invQueued, invAbandoned) {
-		p.ie.span.End()
-		return true
-	}
-	return false
-}
-
-// Wait and Abandon adapt pendingOp to the shared driver's workload.Flight.
-func (p *pendingOp) Wait(timeout time.Duration) bool {
-	_, _, ok := p.wait(context.Background(), timeout)
-	return ok
-}
-
-// Abandon implements workload.Flight.
-func (p *pendingOp) Abandon() bool { return p.abandon() }
-
-// invoke injects an operation at a client and waits for its response, the
-// timeout, or the context's cancellation. It returns the response value and
-// whether the operation completed in time, plus whether it actually started:
-// an abandoned-but-started operation stays pending in the client's log and
-// the client automaton remains mid-protocol; an unstarted one was dropped by
-// backpressure and left no trace.
-func (rt *runtime) invoke(ctx context.Context, client ioa.NodeID, inv ioa.Invocation, timeout time.Duration) (out []byte, started, ok bool) {
-	return rt.invokeAsync(client, inv).wait(ctx, timeout)
-}
-
-// faultStats snapshots the fault counters in kernel form. Backpressure
-// drops (mailbox full past SendTimeout) and messages addressed to a crashed
-// node are transport-level loss, not plan decisions, so they land in
-// TransportDropped; outage holds fold into the delay counters exactly as on
-// the net backend.
-func (rt *runtime) faultStats() ioa.FaultStats {
-	return ioa.FaultStats{
-		Drops:            int(rt.drops.Load()),
-		DelayedMessages:  int(rt.delayed.Load()),
-		DelayStepsTotal:  int(rt.delaySteps.Load()),
-		Crashes:          rt.wc.Crashes(),
-		Recoveries:       rt.wc.Recoveries(),
-		Checkpoints:      int(rt.checkpoints.Load()),
-		TransportDropped: int(rt.overflow.Load() + rt.dead.Load()),
-	}
+// OpenInteractive starts a live deployment of the cluster for Invoke calls
+// (see noderun.OpenInteractive). Close stops the goroutines.
+func OpenInteractive(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Interactive, error) {
+	return noderun.OpenInteractive(backend, cl, plan, cfg)
 }

@@ -1,55 +1,36 @@
-// Package netrun executes register-emulation clusters over a real network:
-// every node automaton owns a TCP endpoint (internal/transport), messages
-// cross real sockets as compact binary frames (internal/wire), and faults
-// become physical events — a dropped message is never written to its socket,
-// a delayed message is held before the write, a partitioned link's frames
-// are held at the sender until the outage window ends. The node automata are
-// exactly the ones `internal/abd`, `internal/cas` and `internal/coded`
-// deploy; like the live backend, this package clones them out of the cluster
-// registry and drives them itself, so the same deployment runs unchanged on
-// any backend.
+// Package netrun runs register-emulation clusters on the shared node
+// runtime (internal/noderun) with the TCP link: every node owns a
+// transport.Endpoint, messages cross real sockets as compact binary frames
+// (internal/wire), and faults become physical events — a dropped message is
+// never written to its socket, a delayed message is held before the write,
+// a partitioned link's frames are held at the sender until the outage
+// window ends.
 //
-// The contract relative to the other two backends (DESIGN.md section 10):
+// What is specific to this link (DESIGN.md sections 10, 11 and 12):
 //
-//   - The simulator remains the determinism oracle. The net runtime, like
-//     the live one, makes no scheduling promise: histories differ run to
-//     run, and only safety verdicts are comparable.
-//   - Safety is checked identically: per-client operation logs, ordered by a
-//     shared atomic clock whose modification order is consistent with real
-//     time, merge into an ioa.History for the internal/consistency checkers.
-//   - Faults: drop/delay rules are consulted at socket-write time with a
-//     global send sequence number, exactly as the kernel and live runtime
-//     do, with delay steps scaled to wall time by Config.StepDur. Outage
-//     (partition) windows and scheduled crash/recovery events run against
-//     the same wall-clock step mapping via a faults.WallClock (DESIGN.md
-//     section 12): each socket write is gated on LinkBlocked at the current
-//     step with blocked frames held to the window boundary; a crashed node's
-//     goroutine stops and its TCP endpoint closes (peers' in-flight frames
-//     die as real network loss), and a scheduled recovery restarts the node
-//     from its last durable checkpoint (ioa.Recoverable) on a fresh
-//     listening endpoint — peers redial the new address on their next send.
-//     Recovery for a node without the Snapshot/Restore surface is the one
-//     remaining unsupported combination, rejected with faults.ErrUnsupported.
-//   - Flow control (DESIGN.md section 11): mailboxes and the transport's
-//     per-connection outboxes are bounded; a full queue blocks the sender
-//     up to its SendTimeout and then drops, counted in
-//     FaultStats.TransportDropped — real backpressure in place of the old
-//     unbounded spawn-on-overflow fallback. A transport reader blocked on
-//     a full mailbox stops reading its socket, so backpressure propagates
-//     peer-to-peer through TCP's own flow control; the kernel's socket
-//     buffers (megabytes per connection) break sender/receiver cycles long
-//     before the drop deadline does. The transport writer coalesces queued
-//     frames into compound envelopes (internal/wire), so a burst costs one
-//     syscall instead of one per message.
-//   - Liveness is a verdict, not a hang: every operation carries a timeout,
-//     and a run whose operations time out under a fault plan reports
-//     Quiescent with those operations pending in the history.
+//   - A message is encoded when the link transmits it, after the fault gate.
+//     Sent messages are immutable, so a delayed message encodes the same
+//     bytes it would have at send time.
+//   - Backpressure is TCP's. The transport's per-connection outboxes are
+//     bounded, and a full one blocks the sender up to SendTimeout before the
+//     frame is dropped and counted. A transport reader blocked on a full
+//     mailbox stops reading its socket, so pressure propagates peer-to-peer
+//     through TCP flow control; the node loops never block on a mailbox, so
+//     they never siphon. The transport writer coalesces queued frames into
+//     compound envelopes, so a burst costs one syscall instead of one per
+//     message.
+//   - A crash closes the node's endpoint, so peers' in-flight frames die as
+//     real network loss. A recovery swaps in a fresh listening endpoint, and
+//     peers redial the new address on their next send.
+//   - Undecodable inbound frames, failed sends and the endpoints' own loss
+//     accounting fold into FaultStats.TransportDropped, and the telemetry
+//     sampler lifts the per-node transport counters.
 package netrun
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,9 +38,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/ioa"
+	"repro/internal/noderun"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // Config tunes the net runtime. The zero value selects the defaults.
@@ -69,14 +52,10 @@ type Config struct {
 	// the spec would collide across nodes, so the port part should stay 0.
 	ListenAddr string
 	// StepDur converts a fault plan's steps into wall-clock time (default
-	// 100µs): delay steps scale to holds of delay*StepDur, and outage
-	// windows [Start, End) cover wall-clock [Start*StepDur, End*StepDur)
-	// from the run's start.
+	// 100µs); see noderun.Config.
 	StepDur time.Duration
-	// OpTimeout bounds each operation's completion (default 5s). A client
-	// whose operation times out is retired — its automaton may still be
-	// waiting on lost frames — and the operation stays pending in the
-	// history unless its response arrives before shutdown.
+	// OpTimeout bounds each operation's completion (default 5s); a client
+	// whose operation times out is retired.
 	OpTimeout time.Duration
 	// Mailbox is the per-node buffered event queue capacity (default 128).
 	Mailbox int
@@ -88,312 +67,129 @@ type Config struct {
 	Outbox int
 	// SendTimeout bounds how long a sender blocks on a full mailbox or
 	// transport outbox before the message is dropped and counted (default
-	// 1s). This is the backpressure window replacing the old unbounded
-	// spawn-on-overflow fallback.
+	// 1s).
 	SendTimeout time.Duration
 	// Pipeline is the number of operations each batch driver keeps in
-	// flight per client (default 1). The node queues invocations and
-	// starts each only when its predecessor responds, so per-client
-	// program order is preserved and the automaton still holds one
-	// operation at a time.
+	// flight per client (default 1); see noderun.Config.
 	Pipeline int
 	// Checkpoint is the durable-state snapshot interval for nodes the fault
-	// plan schedules a recovery for (default 5ms). A recovering node
-	// restarts from its last checkpoint; state mutated after it is lost.
+	// plan schedules a recovery for (default 5ms).
 	Checkpoint time.Duration
-	// Sink, when non-nil, switches the runtime to streaming history mode:
-	// operations are registered with an ioa.OpFeed at invocation and
-	// released into the sink in invocation order as they settle, instead of
-	// accumulating in per-client logs merged at shutdown. The feed's own
-	// clock stamps every op, and Result.History then carries only the
-	// pending tail (the sink has absorbed everything else). Feed an
-	// OnlineChecker here to verify the run while it executes.
+	// Sink, when non-nil, switches the runtime to streaming history mode;
+	// see noderun.Config.
 	Sink ioa.HistorySink
 	// SyncOps, when positive, installs periodic quiescence points in the
-	// batch drivers: after every SyncOps issued operations (globally, across
-	// all drivers), every driver drains its in-flight operations and they
-	// meet at a barrier before any issues again. Each sync is a moment with
-	// nothing in flight — a clean cut in the recorded history — so an online
-	// checker fed through Sink is guaranteed a window-retirement opportunity
-	// at least once per sync, bounding its peak memory by construction
-	// rather than by the scheduler happening to align the clients' idle
-	// gaps. Zero disables syncing; the store engine's online-check mode
-	// (store.Options.OnlineCheck) defaults it to the retirement window, and
-	// a negative value forces it off even there.
+	// batch drivers; see noderun.Config.
 	SyncOps int
-	// Telemetry, when it carries a registry, streams run metrics into it:
-	// per-node storage-bit gauges sampled on a ticker next to the paper's
-	// Theorem 4.1/5.1 bounds, per-node transport counters lifted from the
-	// endpoints, op counters/latency histograms from the batch drivers,
-	// online-checker lag gauges, and sampled op-lifecycle spans. nil (the
-	// default) records nothing and costs nothing on the hot path.
+	// Telemetry, when it carries a registry, streams run metrics into it,
+	// including the per-node transport counters lifted from the endpoints;
+	// see noderun.Config.
 	Telemetry *telemetry.RunTelemetry
 }
 
-func (c Config) withDefaults() Config {
+// core returns the shared runtime's share of the configuration.
+func (c Config) core() noderun.Config {
+	return noderun.Config{
+		StepDur:     c.StepDur,
+		OpTimeout:   c.OpTimeout,
+		Mailbox:     c.Mailbox,
+		SendTimeout: c.SendTimeout,
+		Pipeline:    c.Pipeline,
+		Checkpoint:  c.Checkpoint,
+		Sink:        c.Sink,
+		SyncOps:     c.SyncOps,
+		Telemetry:   c.Telemetry,
+	}
+}
+
+// backend returns the TCP link for this configuration.
+func (c Config) backend() noderun.Backend {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
 	}
-	if c.StepDur <= 0 {
-		c.StepDur = 100 * time.Microsecond
+	tc := transport.Config{DialTimeout: c.DialTimeout, Outbox: c.Outbox, SendTimeout: c.SendTimeout}
+	return noderun.Backend{
+		Name: "netrun",
+		Attach: func(rt *noderun.Runtime) (noderun.Link, error) {
+			l := &link{rt: rt, addr: c.ListenAddr, cfg: tc, peers: make(map[ioa.NodeID]peer)}
+			for _, n := range rt.Nodes() {
+				if err := l.listen(n); err != nil {
+					l.Close()
+					return nil, fmt.Errorf("netrun: node %d: %w", n.ID(), err)
+				}
+			}
+			return l, nil
+		},
 	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = 5 * time.Second
-	}
-	if c.Mailbox <= 0 {
-		c.Mailbox = 128
-	}
-	if c.SendTimeout <= 0 {
-		c.SendTimeout = time.Second
-	}
-	if c.Pipeline <= 0 {
-		c.Pipeline = 1
-	}
-	if c.Checkpoint <= 0 {
-		c.Checkpoint = 5 * time.Millisecond
-	}
-	return c
 }
 
-func (c Config) transportConfig() transport.Config {
-	return transport.Config{DialTimeout: c.DialTimeout, Outbox: c.Outbox, SendTimeout: c.SendTimeout}
-}
-
-// drainBatch bounds how many extra mailbox events a node loop handles per
-// wakeup (see internal/live: coalescing amortizes the scheduler round trip,
-// the bound keeps one hot node preemptible).
-const drainBatch = 32
+// Interactive is a running net deployment accepting one-at-a-time client
+// operations over real TCP connections (see noderun.Interactive).
+type Interactive = noderun.Interactive
 
 // PlanSupported reports whether a fault plan is well-formed for the net
-// runtime. Every fault class runs here now — drop/delay rules, outage
-// windows and scheduled crash/recovery events, the step-indexed ones mapped
-// onto wall time by a faults.WallClock — so this only validates the plan's
-// shape. The one genuinely unsupported combination, scheduled recovery of a
-// node without the ioa.Recoverable surface, needs the deployed automata to
-// detect and is rejected by the runtime itself with faults.ErrUnsupported.
-func PlanSupported(p *faults.Plan) error {
-	if p == nil {
-		return nil
-	}
-	return p.Validate()
+// runtime (see noderun.PlanSupported).
+func PlanSupported(p *faults.Plan) error { return noderun.PlanSupported(p) }
+
+// Run executes the workload spec on the cluster's automata over real
+// sockets with the default Config. See RunConfig.
+func Run(cl *cluster.Cluster, spec workload.Spec) (*workload.Result, error) {
+	return RunConfig(cl, spec, Config{})
 }
 
-// event is one mailbox entry: a message delivery decoded off a socket, or
-// (inv != nil) an operation invocation injected by the driver. Both are
-// handled on the node's own goroutine, so automaton state stays
-// goroutine-confined even though frames arrive on transport reader
-// goroutines.
-type event struct {
-	from ioa.NodeID
-	msg  ioa.Message
-	inv  *invokeEvent
+// RunConfig executes the workload on the net runtime, every message
+// crossing a real TCP socket (see noderun.Run).
+func RunConfig(cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workload.Result, error) {
+	res, _, err := noderun.Run(cfg.backend(), cl, spec, cfg.core())
+	return res, err
 }
 
-// Invocation lifecycle states, arbitrated by one atomic CAS exactly as on
-// the live backend: the node's queued->started transition races the
-// driver's queued->abandoned transition and exactly one wins.
-const (
-	invQueued    int32 = iota // in a mailbox or node queue, not yet started
-	invStarted                // the automaton has been invoked
-	invAbandoned              // the driver gave up before it started
-)
-
-type invokeEvent struct {
-	inv   ioa.Invocation
-	done  chan []byte     // buffered 1; receives the response value when recorded
-	state atomic.Int32    // invQueued -> invStarted (node) | invAbandoned (driver)
-	span  *telemetry.Span // sampled lifecycle trace; nil for unsampled ops
+// OpenInteractive starts a net deployment of the cluster for Invoke calls,
+// opening every node's TCP endpoint (see noderun.OpenInteractive). Close
+// stops the goroutines and closes every socket.
+func OpenInteractive(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Interactive, error) {
+	return noderun.OpenInteractive(cfg.backend(), cl, plan, cfg.core())
 }
 
-// opRecord is one per-client log entry, timestamped by the runtime's atomic
-// clock (see internal/live: the clock's modification order is consistent
-// with real time, so merged records preserve real-time precedence).
-type opRecord struct {
-	kind      ioa.OpKind
-	input     []byte
-	output    []byte
-	invokeTS  int64
-	respondTS int64 // -1 while pending
+// peer is one node's endpoint and its dialable address.
+type peer struct {
+	ep   *transport.Endpoint
+	addr string
 }
 
-// nodeState is everything a node goroutine owns: the automaton clone, its
-// TCP endpoint, its mailbox, the client op log and the server storage
-// maxima. Only the node's own goroutine touches the automaton and log
-// between start and join — across a scheduled crash, ownership passes to the
-// WallClock's event goroutine (which joins the loop first) and back to the
-// next incarnation's loop. The endpoint is internally synchronized; the ep
-// FIELD is guarded by the runtime's netMu, because recovery replaces it.
-type nodeState struct {
-	id   ioa.NodeID
-	node ioa.Node
-	ep   *transport.Endpoint // guarded by runtime.netMu (replaced on recovery)
-	mb   chan event          // one channel for the node's whole lifetime, across incarnations
+// link carries messages between nodes as frames over their endpoints.
+type link struct {
+	rt   *noderun.Runtime
+	addr string
+	cfg  transport.Config
 
-	log         []opRecord
-	pendingIdx  int         // index in log of the outstanding op; -1 when none
-	pendingTk   *ioa.Ticket // outstanding op's feed ticket (streaming mode)
-	pendingDone chan []byte
-	invq        []*invokeEvent // pipelined invocations awaiting their turn
+	mu    sync.RWMutex // guards peers: recovery swaps a node's endpoint
+	peers map[ioa.NodeID]peer
 
-	meter            ioa.StorageMeter // nil unless the node reports storage; loop-owned (rewritten on recovery)
-	metered          bool             // set once at construction: the automaton type reports storage
-	curBits, maxBits atomic.Int64     // written by the node loop, readable mid-run
-	pendingSpan      *telemetry.Span  // outstanding op's trace span; loop-owned
-
-	// Crash-recovery machinery (DESIGN.md section 12). crashCh and loopDone
-	// belong to one incarnation of the node loop; the WallClock goroutine
-	// replaces them only between incarnations (after closing crashCh and
-	// joining loopDone), so the loop reads them race-free.
-	init     ioa.Node    // pristine automaton recovery restarts from; nil when no recovery is scheduled
-	ckpt     bool        // the plan schedules a recovery: checkpoint durable state
-	down     atomic.Bool // true between a crash and its recovery
-	crashCh  chan struct{}
-	loopDone chan struct{}
-
-	snapMu  sync.Mutex
-	snap    ioa.NodeSnapshot // last durable checkpoint (written by the loop, read at recovery)
-	hasSnap bool
+	badFrames       atomic.Int64 // undecodable inbound frames, dropped
+	sendErrs        atomic.Int64 // frames lost to failed dials/closed endpoints
+	retiredDropped  atomic.Int64 // transport loss accumulated off endpoints a recovery replaced
+	retiredRequeued atomic.Int64
 }
 
-// runtime drives one cluster's automata over real sockets.
-type runtime struct {
-	cfg   Config
-	plan  *faults.Plan
-	wc    *faults.WallClock // step clock + crash/recovery event schedule
-	nodes map[ioa.NodeID]*nodeState
-
-	netMu sync.RWMutex          // guards addrs and every nodeState.ep
-	addrs map[ioa.NodeID]string // dialable address per node; recovery re-points a crashed node
-
-	clock atomic.Int64  // history timestamp source (batch mode)
-	feed  *ioa.OpFeed   // streaming-mode op pipeline; nil in batch mode
-	seq   atomic.Uint64 // global send sequence number for MessageFate
-
-	tracer *telemetry.Tracer // sampled op-lifecycle spans; nil when telemetry is off
-
-	drops, delayed, delaySteps atomic.Int64
-	badFrames                  atomic.Int64 // undecodable inbound frames, dropped
-	overflow                   atomic.Int64 // events dropped after SendTimeout on a full mailbox
-	sendErrs                   atomic.Int64 // frames lost to failed dials/closed endpoints
-	checkpoints                atomic.Int64 // durable-state snapshots taken
-	retiredDropped             atomic.Int64 // transport loss accumulated off endpoints a crash retired
-	retiredRequeued            atomic.Int64
-
-	timerMu sync.Mutex
-	timers  map[*time.Timer]struct{} // pending delay/outage timers, stopped at shutdown
-	stopped bool
-
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-// newRuntime clones every automaton out of the cluster registry and opens a
-// listening endpoint per node, so the full NodeID -> address map exists
-// before any frame is sent. The cluster itself is left untouched — its
-// simulator System remains pristine. On error every endpoint already opened
-// is closed.
-func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*runtime, error) {
-	if err := PlanSupported(plan); err != nil {
-		return nil, err
+// listen opens a fresh endpoint for the node and serves it, replacing the
+// node's previous endpoint, whose loss accounting is folded in first so
+// FaultStats never understates loss.
+func (l *link) listen(n *noderun.Node) error {
+	ep, err := transport.Listen(l.addr, l.cfg)
+	if err != nil {
+		return err
 	}
-	rt := &runtime{
-		cfg:    cfg,
-		plan:   plan,
-		nodes:  make(map[ioa.NodeID]*nodeState),
-		addrs:  make(map[ioa.NodeID]string),
-		timers: make(map[*time.Timer]struct{}),
-		done:   make(chan struct{}),
+	l.mu.Lock()
+	if old := l.peers[n.ID()].ep; old != nil {
+		s := old.Stats()
+		l.retiredDropped.Add(int64(s.DroppedFull + s.DroppedDead + s.Malformed))
+		l.retiredRequeued.Add(int64(s.Requeued))
 	}
-	if cfg.Sink != nil {
-		rt.feed = ioa.NewOpFeed(cfg.Sink)
-	}
-	if cfg.Telemetry.Active() {
-		rt.tracer = cfg.Telemetry.Registry.Tracer()
-	}
-	for _, id := range cl.Sys.NodeIDs() {
-		n, err := cl.Automaton(id)
-		if err != nil {
-			rt.closeEndpoints()
-			return nil, err
-		}
-		ep, err := transport.Listen(cfg.ListenAddr, cfg.transportConfig())
-		if err != nil {
-			rt.closeEndpoints()
-			return nil, fmt.Errorf("netrun: node %d: %w", id, err)
-		}
-		ns := &nodeState{
-			id:         id,
-			node:       n.Clone(),
-			ep:         ep,
-			mb:         make(chan event, cfg.Mailbox),
-			pendingIdx: -1,
-			crashCh:    make(chan struct{}),
-			loopDone:   make(chan struct{}),
-		}
-		ns.meter, _ = ns.node.(ioa.StorageMeter)
-		ns.metered = ns.meter != nil
-		rt.nodes[id] = ns
-		rt.addrs[id] = ep.Addr()
-	}
-	if plan != nil {
-		for _, id := range plan.RecoveredNodes() {
-			ns := rt.nodes[id]
-			if ns == nil {
-				rt.closeEndpoints()
-				return nil, fmt.Errorf("netrun: fault plan schedules recovery of unknown node %d", id)
-			}
-			if _, ok := ns.node.(ioa.Recoverable); !ok {
-				rt.closeEndpoints()
-				return nil, fmt.Errorf("netrun: %w: node %d (%T) is scheduled to recover but has no Snapshot/Restore surface",
-					faults.ErrUnsupported, id, ns.node)
-			}
-			ns.init = ns.node.Clone()
-			ns.ckpt = true
-		}
-	}
-	rt.wc = faults.NewWallClock(plan, cfg.StepDur)
-	return rt, nil
-}
-
-func (rt *runtime) closeEndpoints() {
-	rt.netMu.RLock()
-	defer rt.netMu.RUnlock()
-	for _, ns := range rt.nodes {
-		ns.ep.Close()
-	}
-}
-
-// start installs every endpoint's frame handler, launches one goroutine per
-// node, then starts the wall clock: its epoch is stamped after every loop is
-// running, so a crash scheduled at step 0 still finds a live incarnation to
-// stop.
-func (rt *runtime) start() {
-	for _, ns := range rt.nodes {
-		ns := ns
-		ns.ep.Serve(func(frame []byte) { rt.inbound(ns, frame) })
-		rt.wg.Add(1)
-		go rt.loop(ns)
-	}
-	rt.wc.Start(faults.NodeHooks{Crash: rt.crashNode, Recover: rt.recoverNode})
-}
-
-// stop shuts everything down: no more frames are handed to mailboxes, every
-// pending delay/outage timer is stopped, every socket closes, every
-// goroutine joins. The wall clock stops first, so no crash/recovery hook is
-// in flight when wg.Wait begins. After stop returns, the per-node logs and
-// storage maxima are safe to read from the caller.
-func (rt *runtime) stop() {
-	rt.wc.Stop()
-	close(rt.done)
-	rt.timerMu.Lock()
-	rt.stopped = true
-	for t := range rt.timers {
-		t.Stop()
-	}
-	rt.timers = nil
-	rt.timerMu.Unlock()
-	rt.closeEndpoints()
-	rt.wg.Wait()
+	l.peers[n.ID()] = peer{ep: ep, addr: ep.Addr()}
+	l.mu.Unlock()
+	ep.Serve(func(frame []byte) { l.inbound(n, frame) })
+	return nil
 }
 
 // inbound decodes one frame off a node's socket and posts it to the node's
@@ -401,477 +197,134 @@ func (rt *runtime) stop() {
 // corrupt datagram is silence, and protocol timeouts own recovery. A full
 // mailbox blocks the reader (bounded by SendTimeout), which stops the
 // socket read loop — backpressure the peer's TCP stack propagates.
-func (rt *runtime) inbound(ns *nodeState, frame []byte) {
-	from, n := binary.Uvarint(frame)
-	if n <= 0 {
-		rt.badFrames.Add(1)
+func (l *link) inbound(n *noderun.Node, frame []byte) {
+	from, k := binary.Uvarint(frame)
+	if k <= 0 {
+		l.badFrames.Add(1)
 		return
 	}
-	msg, err := wire.Decode(frame[n:])
+	msg, err := wire.Decode(frame[k:])
 	if err != nil {
-		rt.badFrames.Add(1)
+		l.badFrames.Add(1)
 		return
 	}
-	rt.post(ns, event{from: ioa.NodeID(from), msg: msg})
+	l.rt.Post(n, ioa.NodeID(from), msg)
 }
 
-// loop is one node goroutine — one incarnation of the node: it handles its
-// first event, then drains up to drainBatch more without going back to the
-// scheduler. A checkpointing node additionally snapshots its durable state
-// on a ticker — on its own goroutine, so Snapshot never races
-// Deliver/Invoke — with one initial checkpoint before any event, so a crash
-// at any point has an image to recover from.
-func (rt *runtime) loop(ns *nodeState) {
-	crashed, exited := ns.crashCh, ns.loopDone
-	defer close(exited)
-	defer rt.wg.Done()
-	var tick <-chan time.Time
-	if ns.ckpt {
-		rt.checkpoint(ns)
-		t := time.NewTicker(rt.cfg.Checkpoint)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-rt.done:
-			return
-		case <-crashed:
-			return
-		case <-tick:
-			rt.checkpoint(ns)
-		case ev := <-ns.mb:
-			rt.handle(ns, ev)
-			for i := 0; i < drainBatch; i++ {
-				select {
-				case ev := <-ns.mb:
-					rt.handle(ns, ev)
-				default:
-					i = drainBatch
-				}
-			}
-		}
-	}
-}
-
-// checkpoint images the node's durable state under the snapshot mutex, where
-// a later recovery reads it.
-func (rt *runtime) checkpoint(ns *nodeState) {
-	r, ok := ns.node.(ioa.Recoverable)
-	if !ok {
-		return
-	}
-	snap := r.Snapshot()
-	ns.snapMu.Lock()
-	ns.snap, ns.hasSnap = snap, true
-	ns.snapMu.Unlock()
-	rt.checkpoints.Add(1)
-}
-
-// crashNode stops a node mid-run: runs on the WallClock's event goroutine.
-// The incarnation's loop is signalled and joined, the node's TCP endpoint is
-// closed — in-flight frames from peers die as real network loss, counted by
-// their senders — and its volatile state (queued mailbox events,
-// not-yet-started invocations) is discarded. An operation the automaton held
-// mid-protocol stays pending in the log forever, exactly what the
-// consistency checkers' completion semantics expect of an op lost to a crash.
-func (rt *runtime) crashNode(id ioa.NodeID) {
-	ns := rt.nodes[id]
-	if ns == nil || ns.down.Load() {
-		return
-	}
-	ns.down.Store(true)
-	close(ns.crashCh)
-	<-ns.loopDone
-	rt.netMu.RLock()
-	ep := ns.ep
-	rt.netMu.RUnlock()
-	ep.Close()
-	// Fold the dead endpoint's loss accounting into the runtime's counters
-	// before a recovery replaces it, so faultStats never understates loss.
-	s := ep.Stats()
-	rt.retiredDropped.Add(int64(s.DroppedFull + s.DroppedDead + s.Malformed))
-	rt.retiredRequeued.Add(int64(s.Requeued))
-	rt.discardVolatile(ns)
-}
-
-// discardVolatile empties the node's mailbox and queues between incarnations.
-// Only called with no loop goroutine running, so the loop-owned fields are
-// safe to touch.
-func (rt *runtime) discardVolatile(ns *nodeState) {
-	for {
-		select {
-		case ev := <-ns.mb:
-			if ev.inv != nil {
-				ev.inv.state.CompareAndSwap(invQueued, invAbandoned)
-			}
-		default:
-			for _, ie := range ns.invq {
-				ie.state.CompareAndSwap(invQueued, invAbandoned)
-			}
-			ns.invq = nil
-			ns.pendingIdx = -1
-			if ns.pendingTk != nil {
-				// The op dies with the crash: permanently pending.
-				ns.pendingTk.Abandon()
-				ns.pendingTk = nil
-			}
-			ns.pendingDone = nil
-			return
-		}
-	}
-}
-
-// recoverNode restarts a crashed node from its last durable checkpoint: runs
-// on the WallClock's event goroutine, strictly after the node's crash. The
-// new incarnation is a pristine clone of the deployed automaton with the
-// checkpoint restored onto it, listening on a FRESH endpoint: the address
-// map is re-pointed under netMu, so peers redial the new address on their
-// next send while anything aimed at the dead socket is counted loss.
-func (rt *runtime) recoverNode(id ioa.NodeID) {
-	ns := rt.nodes[id]
-	if ns == nil || !ns.down.Load() || ns.init == nil {
-		return
-	}
-	ep, err := transport.Listen(rt.cfg.ListenAddr, rt.cfg.transportConfig())
-	if err != nil {
-		return // no listener, no rejoin; the node stays down
-	}
-	node := ns.init.Clone()
-	ns.snapMu.Lock()
-	snap, ok := ns.snap, ns.hasSnap
-	ns.snapMu.Unlock()
-	if ok {
-		// Same automaton type by construction; Restore cannot reject it.
-		if err := node.(ioa.Recoverable).Restore(snap); err != nil {
-			ep.Close()
-			return // leave the node down rather than rejoin with bogus state
-		}
-	}
-	ns.node = node
-	ns.meter, _ = node.(ioa.StorageMeter)
-	rt.discardVolatile(ns) // frames that raced the endpoint close die with the crash
-	rt.netMu.Lock()
-	ns.ep = ep
-	rt.addrs[id] = ep.Addr()
-	rt.netMu.Unlock()
-	ep.Serve(func(frame []byte) { rt.inbound(ns, frame) })
-	ns.crashCh = make(chan struct{})
-	ns.loopDone = make(chan struct{})
-	ns.down.Store(false)
-	rt.wg.Add(1)
-	go rt.loop(ns)
-}
-
-// handle processes one mailbox event on the node's goroutine, exactly as the
-// live runtime does: invocations are queued and started only while no
-// operation is pending, so a pipelining driver may submit several ops while
-// the automaton still holds one at a time; deliveries go straight to the
-// automaton.
-func (rt *runtime) handle(ns *nodeState, ev event) {
-	if ev.inv != nil {
-		ns.invq = append(ns.invq, ev.inv)
-	} else {
-		rt.apply(ns, ns.node.Deliver(ev.from, ev.msg))
-	}
-	for ns.pendingIdx < 0 && ns.pendingTk == nil && len(ns.invq) > 0 {
-		ie := ns.invq[0]
-		ns.invq = ns.invq[1:]
-		if !ie.state.CompareAndSwap(invQueued, invStarted) {
-			continue // abandoned before it started: it never happened
-		}
-		ie.span.Mark(telemetry.StageStart)
-		ns.pendingSpan = ie.span
-		if rt.feed != nil {
-			ns.pendingTk = rt.feed.Begin(ns.id, ie.inv.Kind, ie.inv.Value)
-		} else {
-			ns.log = append(ns.log, opRecord{
-				kind:      ie.inv.Kind,
-				input:     ie.inv.Value,
-				invokeTS:  rt.clock.Add(1),
-				respondTS: -1,
-			})
-			ns.pendingIdx = len(ns.log) - 1
-		}
-		ns.pendingDone = ie.done
-		rt.apply(ns, ns.node.(ioa.Client).Invoke(ie.inv))
-	}
-}
-
-// apply records a response (timestamped before the effects' sends are
-// dispatched — the response is determined by then, so shrinking the
-// recorded interval to that point is sound for the checkers), dispatches
-// the sends, and refreshes the storage meters.
-func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
-	if eff.Response != nil && (ns.pendingIdx >= 0 || ns.pendingTk != nil) {
-		out := eff.Response.Value
-		if ns.pendingTk != nil {
-			// Stamped and released to the sink before the effects' sends
-			// dispatch, so the feed clock preserves real-time precedence
-			// exactly as the batch clock does.
-			ns.pendingTk.Complete(out)
-			ns.pendingTk = nil
-		} else {
-			rec := &ns.log[ns.pendingIdx]
-			rec.output = out
-			rec.respondTS = rt.clock.Add(1)
-			ns.pendingIdx = -1
-		}
-		ns.pendingSpan.Mark(telemetry.StageEffect)
-		ns.pendingSpan = nil
-		if ns.pendingDone != nil {
-			ns.pendingDone <- out // buffered, single outstanding op: never blocks
-			ns.pendingDone = nil
-		}
-	}
-	for _, send := range eff.Sends {
-		rt.send(ns.id, send)
-	}
-	if ns.meter != nil {
-		bits := int64(ns.meter.StorageBits())
-		ns.curBits.Store(bits)
-		ioa.RaiseMax(&ns.maxBits, bits)
-	}
-}
-
-// send encodes one automaton message and applies the fault plan's drop and
-// delay rules before anything touches a socket. Sequence numbers are global,
-// as in the kernel and the live runtime, so the same plan seed draws from
-// the same decision stream.
-func (rt *runtime) send(from ioa.NodeID, s ioa.Send) {
-	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from))
-	frame, err := wire.Append(frame, s.Msg)
+// Transmit encodes the message and writes the frame to the sender's own
+// socket pool. A Send error (failed dial, closed endpoint) is real-network
+// silence — the pool redials on the next send and protocol timeouts own
+// recovery — but it is counted. The endpoints are snapshotted under the
+// lock; the Send itself runs outside it, since it can block for a full
+// SendTimeout.
+func (l *link) Transmit(from, to *noderun.Node, msg ioa.Message, _ bool) {
+	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from.ID()))
+	frame, err := wire.Append(frame, msg)
 	if err != nil {
 		// An unregistered message type cannot cross the network; surfacing
 		// it as loss would hide the bug, so panic — the wire registry tests
 		// make this unreachable for shipped algorithms.
-		panic(fmt.Sprintf("netrun: node %d sent unencodable message: %v", from, err))
+		panic(fmt.Sprintf("netrun: node %d sent unencodable message: %v", from.ID(), err))
 	}
-	if rt.plan != nil {
-		seq := rt.seq.Add(1) - 1
-		drop, delay := rt.plan.MessageFate(from, s.To, seq, rt.wc.Step())
-		if drop {
-			rt.drops.Add(1)
-			return
+	l.mu.RLock()
+	src, dst := l.peers[from.ID()], l.peers[to.ID()]
+	l.mu.RUnlock()
+	if err := src.ep.Send(dst.addr, frame); err != nil {
+		l.sendErrs.Add(1)
+	}
+}
+
+// Crash closes the node's endpoint: frames in flight to it die as real
+// network loss, counted by their senders.
+func (l *link) Crash(n *noderun.Node) {
+	l.mu.RLock()
+	ep := l.peers[n.ID()].ep
+	l.mu.RUnlock()
+	ep.Close()
+}
+
+// Recover rejoins the node on a fresh listening endpoint; peers redial the
+// new address on their next send.
+func (l *link) Recover(n *noderun.Node) error { return l.listen(n) }
+
+// Close closes every endpoint.
+func (l *link) Close() {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, p := range l.peers {
+		p.ep.Close()
+	}
+}
+
+// Loss sums the link's own counters and every endpoint's loss accounting.
+func (l *link) Loss() (dropped, requeued int) {
+	dropped = int(l.badFrames.Load() + l.sendErrs.Load() + l.retiredDropped.Load())
+	requeued = int(l.retiredRequeued.Load())
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, p := range l.peers {
+		s := p.ep.Stats()
+		dropped += int(s.DroppedFull + s.DroppedDead + s.Malformed)
+		requeued += int(s.Requeued)
+	}
+	return dropped, requeued
+}
+
+// nodeTransport is the per-node counter set the sampler lifts endpoint
+// stats into. Endpoint counters are absolute totals that reset when a
+// recovery replaces the endpoint, so the lift mirrors them with monotone
+// Raise — the registry series never move backward, at the price of
+// undercounting while a recovered endpoint's fresh totals catch up to the
+// retired ones.
+type nodeTransport struct {
+	framesSent, framesRecv   telemetry.Counter
+	batchesSent              telemetry.Counter
+	bytesSent, bytesRecv     telemetry.Counter
+	droppedFull, droppedDead telemetry.Counter
+	requeued, malformed      telemetry.Counter
+	batchFrames              [len(transport.BatchBucketBounds)]telemetry.Counter
+}
+
+// Telemetry registers one transport counter set per node (servers and
+// clients both own an endpoint) and returns the per-tick lift.
+func (l *link) Telemetry(reg *telemetry.Registry, sl telemetry.Label) func() {
+	nt := make(map[ioa.NodeID]*nodeTransport, len(l.peers))
+	for _, n := range l.rt.Nodes() {
+		nl := telemetry.L("node", strconv.Itoa(int(n.ID())))
+		t := &nodeTransport{
+			framesSent:  reg.Counter(telemetry.MetricTransportFramesSent, "frames written to peer sockets", sl, nl),
+			framesRecv:  reg.Counter(telemetry.MetricTransportFramesRecv, "frames received and handed to the node", sl, nl),
+			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "compound envelope flushes (frames/batches = coalescing factor)", sl, nl),
+			bytesSent:   reg.Counter(telemetry.MetricTransportBytesSent, "envelope bytes written to peer sockets", sl, nl),
+			bytesRecv:   reg.Counter(telemetry.MetricTransportBytesRecv, "envelope bytes received", sl, nl),
+			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped on a full outbox past SendTimeout", sl, nl),
+			droppedDead: reg.Counter(telemetry.MetricTransportDroppedDead, "frames lost to dead connections", sl, nl),
+			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames re-enqueued onto a redialed connection", sl, nl),
+			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound envelopes that failed to split", sl, nl),
 		}
-		if delay > 0 {
-			rt.delayed.Add(1)
-			rt.delaySteps.Add(int64(delay))
-			rt.after(time.Duration(delay)*rt.cfg.StepDur, func() {
-				rt.dispatch(from, s.To, frame)
-			})
-			return
+		for i, ub := range transport.BatchBucketBounds {
+			t.batchFrames[i] = reg.Counter(telemetry.MetricTransportBatchFrames,
+				"flushes by frames-per-batch bucket", sl, nl, telemetry.L("le", strconv.Itoa(ub)))
+		}
+		nt[n.ID()] = t
+	}
+	return func() {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		for id, t := range nt {
+			s := l.peers[id].ep.Stats()
+			t.framesSent.Raise(s.FramesSent)
+			t.framesRecv.Raise(s.FramesReceived)
+			t.batchesSent.Raise(s.BatchesSent)
+			t.bytesSent.Raise(s.BytesSent)
+			t.bytesRecv.Raise(s.BytesReceived)
+			t.droppedFull.Raise(s.DroppedFull)
+			t.droppedDead.Raise(s.DroppedDead)
+			t.requeued.Raise(s.Requeued)
+			t.malformed.Raise(s.Malformed)
+			for i := range s.BatchFrames {
+				t.batchFrames[i].Raise(s.BatchFrames[i])
+			}
 		}
 	}
-	rt.dispatch(from, s.To, frame)
-}
-
-// dispatch gates the socket write on the plan's outage windows at the
-// current step: a blocked frame is held — not dropped — and re-dispatched at
-// the next outage boundary, re-checking then in case windows abut. Held
-// frames are accounted as delays of (boundary - now) steps.
-func (rt *runtime) dispatch(from, to ioa.NodeID, frame []byte) {
-	if hold, steps := rt.wc.Hold(from, to); hold > 0 {
-		rt.delayed.Add(1)
-		rt.delaySteps.Add(int64(steps))
-		rt.after(hold, func() { rt.dispatch(from, to, frame) })
-		return
-	}
-	rt.transmit(from, to, frame)
-}
-
-// transmit writes the frame to the sender's own socket pool. A Send error
-// (failed dial, closed endpoint) is real-network silence — the pool redials
-// on the next send and protocol timeouts own recovery — but it is counted,
-// so lossy-run reports stop understating loss. The endpoint and address are
-// snapshotted under netMu (recovery replaces both); the Send itself runs
-// outside the lock, since it can block for a full SendTimeout.
-func (rt *runtime) transmit(from, to ioa.NodeID, frame []byte) {
-	src := rt.nodes[from]
-	if src == nil {
-		return
-	}
-	rt.netMu.RLock()
-	ep := src.ep
-	addr, ok := rt.addrs[to]
-	rt.netMu.RUnlock()
-	if !ok {
-		return
-	}
-	if err := ep.Send(addr, frame); err != nil {
-		rt.sendErrs.Add(1)
-	}
-}
-
-// after schedules f to run once after d, tracking the timer so stop can
-// cancel it; the old untracked time.AfterFunc calls leaked every in-flight
-// delay/outage timer past Close.
-func (rt *runtime) after(d time.Duration, f func()) {
-	rt.timerMu.Lock()
-	defer rt.timerMu.Unlock()
-	if rt.stopped {
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		// The callback can only fire after the registration below released
-		// the mutex, so t is always the registered timer here.
-		rt.timerMu.Lock()
-		delete(rt.timers, t)
-		rt.timerMu.Unlock()
-		select {
-		case <-rt.done:
-		default:
-			f()
-		}
-	})
-	rt.timers[t] = struct{}{}
-}
-
-// post enqueues with backpressure: the fast path is a non-blocking channel
-// send; a full mailbox blocks the caller — a transport reader or a driver —
-// up to timeout, after which the event is dropped and counted. A blocked
-// reader stops consuming its socket, so the pressure propagates to the peer
-// through TCP flow control instead of growing unbounded queues; the node
-// loops themselves never block here (their sends go to sockets), so
-// mailbox/outbox cycles cannot wedge the runtime.
-func (rt *runtime) post(to *nodeState, ev event) bool {
-	return rt.postTimeout(to, ev, rt.cfg.SendTimeout)
-}
-
-func (rt *runtime) postTimeout(to *nodeState, ev event, timeout time.Duration) bool {
-	select {
-	case to.mb <- ev:
-		return true
-	case <-rt.done:
-		return false
-	default:
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case to.mb <- ev:
-		return true
-	case <-t.C:
-		rt.overflow.Add(1)
-		return false
-	case <-rt.done:
-		return false
-	}
-}
-
-// pendingOp is a handle on one asynchronously submitted invocation.
-type pendingOp struct {
-	ie     *invokeEvent
-	failed bool // the post was dropped; the op never reached the node
-}
-
-// invokeAsync submits an operation at a client and returns immediately; the
-// node starts it when every earlier invocation at that client has responded.
-// Pipelining drivers keep several handles open per client. Invocations get
-// the full op timeout to enqueue (a saturated client mailbox clears as the
-// node drains).
-func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *pendingOp {
-	ns := rt.nodes[client]
-	ie := &invokeEvent{inv: inv, done: make(chan []byte, 1)}
-	if rt.tracer != nil {
-		ie.span = rt.tracer.Begin(inv.Kind.String())
-	}
-	p := &pendingOp{ie: ie}
-	if !rt.postTimeout(ns, event{inv: ie}, rt.cfg.OpTimeout) {
-		ie.state.Store(invAbandoned)
-		p.failed = true
-		ie.span.End()
-	} else {
-		ie.span.Mark(telemetry.StageQueue)
-	}
-	return p
-}
-
-// wait blocks for the response, the timeout, or ctx cancellation. It returns
-// the response value, whether the operation actually started (a started but
-// incomplete op is genuinely pending and must stay pending in any checked
-// history; an unstarted one never happened), and whether it completed.
-func (p *pendingOp) wait(ctx context.Context, timeout time.Duration) (out []byte, started, ok bool) {
-	if p.failed {
-		return nil, false, false
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case out := <-p.ie.done:
-		p.ie.span.Mark(telemetry.StageComplete)
-		p.ie.span.End()
-		return out, true, true
-	case <-t.C:
-	case <-ctx.Done():
-	}
-	if p.ie.state.CompareAndSwap(invQueued, invAbandoned) {
-		p.ie.span.End()
-		return nil, false, false // never started; the node will skip it
-	}
-	select {
-	case out := <-p.ie.done:
-		p.ie.span.Mark(telemetry.StageComplete)
-		p.ie.span.End()
-		return out, true, true
-	default:
-		p.ie.span.End()
-		return nil, true, false
-	}
-}
-
-// abandon cancels an invocation that has not started and reports whether it
-// did; a started invocation is left to run.
-func (p *pendingOp) abandon() bool {
-	if p.failed || p.ie.state.CompareAndSwap(invQueued, invAbandoned) {
-		p.ie.span.End()
-		return true
-	}
-	return false
-}
-
-// Wait and Abandon adapt pendingOp to the shared driver's workload.Flight.
-func (p *pendingOp) Wait(timeout time.Duration) bool {
-	_, _, ok := p.wait(context.Background(), timeout)
-	return ok
-}
-
-// Abandon implements workload.Flight.
-func (p *pendingOp) Abandon() bool { return p.abandon() }
-
-// invoke injects an operation at a client and waits for its response, the
-// timeout, or the context's cancellation. It returns the response value and
-// whether the operation completed in time, plus whether it actually started:
-// an abandoned-but-started operation stays pending in the client's log and
-// the client automaton remains mid-protocol; an unstarted one was dropped by
-// backpressure and left no trace.
-func (rt *runtime) invoke(ctx context.Context, client ioa.NodeID, inv ioa.Invocation, timeout time.Duration) (out []byte, started, ok bool) {
-	return rt.invokeAsync(client, inv).wait(ctx, timeout)
-}
-
-// faultStats snapshots the fault counters in kernel form. Outage holds are
-// folded into the delay counters (each hold is a delay to the next window
-// boundary); mailbox overflow drops, failed socket sends and the transport
-// endpoints' own loss accounting land in the transport counters, so a lossy
-// run's report no longer understates loss.
-func (rt *runtime) faultStats() ioa.FaultStats {
-	stats := ioa.FaultStats{
-		Drops:            int(rt.drops.Load()),
-		DelayedMessages:  int(rt.delayed.Load()),
-		DelayStepsTotal:  int(rt.delaySteps.Load()),
-		Crashes:          rt.wc.Crashes(),
-		Recoveries:       rt.wc.Recoveries(),
-		Checkpoints:      int(rt.checkpoints.Load()),
-		TransportDropped: int(rt.overflow.Load() + rt.sendErrs.Load() + rt.badFrames.Load() + rt.retiredDropped.Load()),
-	}
-	stats.TransportRequeued += int(rt.retiredRequeued.Load())
-	rt.netMu.RLock()
-	defer rt.netMu.RUnlock()
-	for _, ns := range rt.nodes {
-		s := ns.ep.Stats()
-		stats.TransportDropped += int(s.DroppedFull + s.DroppedDead + s.Malformed)
-		stats.TransportRequeued += int(s.Requeued)
-	}
-	return stats
 }

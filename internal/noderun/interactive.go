@@ -1,7 +1,8 @@
-package netrun
+package noderun
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -11,21 +12,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Interactive is a running net deployment accepting one-at-a-time client
-// operations: the node goroutines and their sockets stay up between calls,
-// so a sequence of Invoke calls interleaves with other clients' operations
-// over real TCP connections exactly as a deployed service would. It is the
-// net backend's single-op execution path — RunConfig remains for batch
-// experiments.
+// Interactive is a running deployment accepting one-at-a-time client
+// operations: the node goroutines (and, on the net link, their sockets)
+// stay up between calls, so a sequence of Invoke calls interleaves with
+// other clients' operations exactly as a deployed service would. It is the
+// single-op execution path — Run remains for batch experiments.
 //
 // Invoke is safe for concurrent use across clients; operations at the same
 // client are serialized (a register client automaton holds one operation at
 // a time). A client whose operation times out is retired: its automaton is
-// stuck mid-protocol waiting on lost frames, so later Invokes on it fail
+// stuck mid-protocol waiting on lost messages, so later Invokes on it fail
 // fast with ErrClientRetired rather than corrupting the protocol state.
 type Interactive struct {
 	cfg           Config
-	rt            *runtime
+	rt            *Runtime
 	stopTelemetry func()
 
 	mu     sync.Mutex
@@ -39,26 +39,24 @@ type clientGate struct {
 	retired bool
 }
 
-// ErrClientRetired marks a net client whose earlier operation timed out:
-// the automaton is mid-protocol and cannot accept another invocation.
-var ErrClientRetired = fmt.Errorf("netrun: client retired after a timed-out operation")
+// ErrClientRetired marks a client whose earlier operation timed out: the
+// automaton is mid-protocol and cannot accept another invocation.
+var ErrClientRetired = errors.New("client retired after a timed-out operation")
 
-// OpenInteractive clones the cluster's automata, opens every node's TCP
-// endpoint and returns a session ready for Invoke. The fault plan applies in
-// full, exactly as in RunConfig: drop/delay rules and outage windows at
-// every socket write, scheduled crash/recovery on the runtime's wall-clock
-// step mapping. Close stops the goroutines and closes every socket.
-func OpenInteractive(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Interactive, error) {
+// OpenInteractive clones the cluster's automata, attaches the backend's
+// link, starts the node goroutines and returns a session ready for Invoke.
+// The fault plan applies in full, exactly as in Run: drop/delay rules and
+// outage windows at every send, scheduled crash/recovery on the runtime's
+// wall-clock step mapping. Close stops the goroutines and the link.
+func OpenInteractive(b Backend, cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Interactive, error) {
 	cfg = cfg.withDefaults()
 	if err := cl.Validate(); err != nil {
 		return nil, err
 	}
-	for _, id := range append(append([]ioa.NodeID(nil), cl.Writers...), cl.Readers...) {
-		if _, err := cl.ClientAutomaton(id); err != nil {
-			return nil, err
-		}
+	if err := checkClients(cl); err != nil {
+		return nil, err
 	}
-	rt, err := newRuntime(cl, plan, cfg)
+	rt, err := newRuntime(b, cl, plan, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -82,37 +80,38 @@ func OpenInteractive(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Inter
 // it was genuinely invoked and may still take effect (its caller must keep
 // it pending in any checked history), and the client is retired.
 func (s *Interactive) Invoke(ctx context.Context, client ioa.NodeID, inv ioa.Invocation) (out []byte, pending bool, err error) {
+	name := s.rt.name
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, false, fmt.Errorf("netrun: session closed")
+		return nil, false, fmt.Errorf("%s: session closed", name)
 	}
 	gate := s.perCl[client]
 	s.mu.Unlock()
 	if gate == nil {
-		return nil, false, fmt.Errorf("netrun: node %d is not a client of this deployment", client)
+		return nil, false, fmt.Errorf("%s: node %d is not a client of this deployment", name, client)
 	}
 	gate.mu.Lock()
 	defer gate.mu.Unlock()
 	if gate.retired {
-		return nil, false, fmt.Errorf("client %d: %w", client, ErrClientRetired)
+		return nil, false, fmt.Errorf("%s: client %d: %w", name, client, ErrClientRetired)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	out, started, ok := s.rt.invoke(ctx, client, inv, s.cfg.OpTimeout)
+	out, started, ok := s.rt.invokeAsync(client, inv).wait(ctx, s.cfg.OpTimeout)
 	if !ok {
 		if !started {
 			// Backpressure dropped the invocation before the automaton saw
 			// it: the client is untouched and stays usable, and the op
 			// must NOT appear in any checked history.
-			return nil, false, fmt.Errorf("netrun: operation at client %d was dropped before it started (mailbox full past SendTimeout)", client)
+			return nil, false, fmt.Errorf("%s: operation at client %d was dropped before it started (mailbox full past SendTimeout)", name, client)
 		}
 		gate.retired = true
 		if err := ctx.Err(); err != nil {
-			return nil, true, fmt.Errorf("netrun: operation at client %d abandoned: %w", client, err)
+			return nil, true, fmt.Errorf("%s: operation at client %d abandoned: %w", name, client, err)
 		}
-		return nil, true, fmt.Errorf("netrun: operation at client %d timed out after %v (pending; client retired)", client, s.cfg.OpTimeout)
+		return nil, true, fmt.Errorf("%s: operation at client %d timed out after %v (pending; client retired)", name, client, s.cfg.OpTimeout)
 	}
 	return out, false, nil
 }
@@ -143,7 +142,7 @@ func (s *Interactive) FaultStats() ioa.FaultStats {
 	return s.rt.faultStats()
 }
 
-// Close stops the node goroutines and closes every socket. Idempotent.
+// Close stops the node goroutines and closes the link. Idempotent.
 func (s *Interactive) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

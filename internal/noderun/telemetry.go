@@ -1,4 +1,4 @@
-package live
+package noderun
 
 import (
 	"strconv"
@@ -23,10 +23,11 @@ type checkerStats interface {
 // the sampling goroutine: every tick it reads each server node's storage
 // meter (the same curBits/maxBits watermark path storageReport folds at
 // shutdown — gauges can never exceed that watermark), the measured-vs-bound
-// slack, and the online checker's lag. The returned stop joins the sampler
+// slack, the online checker's lag, and whatever the link samples (the net
+// link lifts its transport counters). The returned stop joins the sampler
 // after one final sample, so the end-of-run watermark is always published.
 // A no-op when telemetry is off.
-func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop func()) {
+func (rt *Runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop func()) {
 	tel := rt.cfg.Telemetry
 	if !tel.Active() {
 		return func() {}
@@ -61,7 +62,7 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop
 	}
 
 	type nodeGauges struct {
-		ns       *nodeState
+		ns       *Node
 		cur, max telemetry.Gauge
 	}
 	var gs []nodeGauges
@@ -77,6 +78,8 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop
 			max: reg.Gauge(telemetry.MetricStorageMaxBits, "per-node storage-bit watermark (sampled)", sl, nl),
 		})
 	}
+
+	linkSample := rt.link.Telemetry(reg, sl)
 
 	var lagG, retainedG telemetry.Gauge
 	var observedC, verifiedC telemetry.Counter
@@ -108,6 +111,9 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop
 			retainedG.Set(float64(obs - ver))
 			observedC.Raise(uint64(obs))
 			verifiedC.Raise(uint64(ver))
+		}
+		if linkSample != nil {
+			linkSample()
 		}
 	}
 

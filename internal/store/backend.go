@@ -12,6 +12,7 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/live"
 	"repro/internal/netrun"
+	"repro/internal/noderun"
 	"repro/internal/workload"
 )
 
@@ -211,16 +212,17 @@ func (s *simSession) FaultStats() ioa.FaultStats {
 
 func (s *simSession) Close() error { return nil }
 
-// validateLiveWorkload eagerly rejects multi-key workloads the live backend
-// cannot run, so the error surfaces from Options validation, not from inside
-// a shard mid-run (matching the eager window validation in faults.Parse).
-// Every fault scenario class runs on the live backend now; what remains
-// rejected is the random crash budget (it draws crash points from the
-// simulator's schedule) and malformed scenario strings.
-func validateLiveWorkload(o Options) error {
+// validateWallClockWorkload eagerly rejects multi-key workloads the
+// selected wall-clock backend (live or net) cannot run, so the error
+// surfaces from Options validation, not from inside a shard mid-run
+// (matching the eager window validation in faults.Parse). Every fault
+// scenario class runs on both backends; what remains rejected is the random
+// crash budget (it draws crash points from the simulator's schedule) and
+// malformed scenario strings.
+func validateWallClockWorkload(o Options) error {
 	if o.Workload.Crashes != 0 {
-		return fmt.Errorf("store: live backend: %w: the random crash budget draws crash points from the simulator's schedule; use a crash scenario instead (got Crashes=%d)",
-			faults.ErrUnsupported, o.Workload.Crashes)
+		return fmt.Errorf("store: %s backend: %w: the random crash budget draws crash points from the simulator's schedule; use a crash scenario instead (got Crashes=%d)",
+			o.Backend, faults.ErrUnsupported, o.Workload.Crashes)
 	}
 	for i, spec := range o.Workload.Faults {
 		sc, err := faults.Parse(spec)
@@ -234,7 +236,7 @@ func validateLiveWorkload(o Options) error {
 		if err != nil {
 			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
 		}
-		if err := live.PlanSupported(plan); err != nil {
+		if err := noderun.PlanSupported(plan); err != nil {
 			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
 		}
 	}
@@ -259,49 +261,7 @@ func (liveBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSessi
 	if err != nil {
 		return nil, err
 	}
-	return &liveSession{cl: cl, in: in}, nil
-}
-
-// liveSession adapts live.Interactive to the ShardSession surface.
-type liveSession struct {
-	cl *cluster.Cluster
-	in *live.Interactive
-}
-
-func (s *liveSession) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invocation) ([]byte, bool, error) {
-	return s.in.Invoke(ctx, client, inv)
-}
-
-func (s *liveSession) Storage() ioa.StorageReport { return s.in.Storage(s.cl) }
-func (s *liveSession) FaultStats() ioa.FaultStats { return s.in.FaultStats() }
-func (s *liveSession) Close() error               { return s.in.Close() }
-
-// validateNetWorkload eagerly rejects multi-key workloads the net backend
-// cannot run. Every fault scenario class runs on the net backend now; what
-// remains rejected is the random crash budget (it draws crash points from
-// the simulator's schedule) and malformed scenario strings.
-func validateNetWorkload(o Options) error {
-	if o.Workload.Crashes != 0 {
-		return fmt.Errorf("store: net backend: %w: the random crash budget draws crash points from the simulator's schedule; use a crash scenario instead (got Crashes=%d)",
-			faults.ErrUnsupported, o.Workload.Crashes)
-	}
-	for i, spec := range o.Workload.Faults {
-		sc, err := faults.Parse(spec)
-		if err != nil {
-			return fmt.Errorf("store: Faults[%d]: %w", i, err)
-		}
-		if sc == nil {
-			continue
-		}
-		plan, err := sc.Build(o.Servers, o.F, 1)
-		if err != nil {
-			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
-		}
-		if err := netrun.PlanSupported(plan); err != nil {
-			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
-		}
-	}
-	return nil
+	return &runtimeSession{cl: cl, in: in}, nil
 }
 
 // netBackend runs shards over real TCP sockets: every node automaton owns a
@@ -320,19 +280,20 @@ func (netBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSessio
 	if err != nil {
 		return nil, err
 	}
-	return &netSession{cl: cl, in: in}, nil
+	return &runtimeSession{cl: cl, in: in}, nil
 }
 
-// netSession adapts netrun.Interactive to the ShardSession surface.
-type netSession struct {
+// runtimeSession adapts a wall-clock runtime's interactive session (live or
+// net) to the ShardSession surface.
+type runtimeSession struct {
 	cl *cluster.Cluster
-	in *netrun.Interactive
+	in *noderun.Interactive
 }
 
-func (s *netSession) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invocation) ([]byte, bool, error) {
+func (s *runtimeSession) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invocation) ([]byte, bool, error) {
 	return s.in.Invoke(ctx, client, inv)
 }
 
-func (s *netSession) Storage() ioa.StorageReport { return s.in.Storage(s.cl) }
-func (s *netSession) FaultStats() ioa.FaultStats { return s.in.FaultStats() }
-func (s *netSession) Close() error               { return s.in.Close() }
+func (s *runtimeSession) Storage() ioa.StorageReport { return s.in.Storage(s.cl) }
+func (s *runtimeSession) FaultStats() ioa.FaultStats { return s.in.FaultStats() }
+func (s *runtimeSession) Close() error               { return s.in.Close() }

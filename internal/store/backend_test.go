@@ -92,7 +92,7 @@ func TestValidateLiveWorkloadPerShard(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := base
 			o.Workload.Faults = tc.faults
-			err := validateLiveWorkload(o)
+			err := validateWallClockWorkload(o)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -127,7 +127,7 @@ func TestValidateLiveWorkloadRejectsCrashBudget(t *testing.T) {
 			Keys: 4, Ops: 4, TargetNu: 1, ValueBytes: 64, Crashes: 1,
 		},
 	}
-	err := validateLiveWorkload(o)
+	err := validateWallClockWorkload(o)
 	if err == nil || !strings.Contains(err.Error(), "Crashes") {
 		t.Errorf("crash budget accepted on live backend: %v", err)
 	}

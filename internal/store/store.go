@@ -119,13 +119,8 @@ func (o Options) validate() error {
 	if _, err := BackendByName(o.Backend); err != nil {
 		return err
 	}
-	if o.Backend == BackendLive {
-		if err := validateLiveWorkload(o); err != nil {
-			return err
-		}
-	}
-	if o.Backend == BackendNet {
-		if err := validateNetWorkload(o); err != nil {
+	if o.Backend == BackendLive || o.Backend == BackendNet {
+		if err := validateWallClockWorkload(o); err != nil {
 			return err
 		}
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // Flight is one asynchronously submitted operation, as handed back by a
-// concurrent runtime's async invoke. The live and net runtimes satisfy it
-// with their pendingOp.
+// concurrent runtime's async invoke. The node runtime (internal/noderun)
+// satisfies it with its pendingOp.
 type Flight interface {
 	// Wait blocks until the operation completes or timeout elapses,
 	// reporting whether it completed. On timeout the runtime retires the
@@ -57,9 +57,8 @@ type FlightResult struct {
 	Elapsed time.Duration
 }
 
-// RunFlights is the windowed flight driver shared by the live and net
-// runtimes (they drifted once as near-identical copies; this is the single
-// home). min(TargetNu, writers) writer goroutines and every reader
+// RunFlights is the windowed flight driver the node runtime
+// (internal/noderun) runs for both wall-clock backends. min(TargetNu, writers) writer goroutines and every reader
 // goroutine issue operations from shared budgets until the spec's counts
 // are exhausted, keeping up to Pipeline ops in flight per client — the node
 // starts each only when its predecessor responds, so per-client program

@@ -35,8 +35,6 @@
 package shmem
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/abd"
@@ -277,28 +275,6 @@ const (
 	OpWrite = ioa.OpWrite
 )
 
-// DeployABD builds an ABD replication register: n servers tolerating f
-// crashes, with the given writer and reader clients. multiWriter selects the
-// two-phase MWMR write protocol.
-//
-// Deprecated: use Open with Config.Algorithms "abd" / "abd-mwmr" for store
-// handles; the builder helpers (ABDBuilder) remain for the executable
-// proofs.
-func DeployABD(n, f, writers, readers int, multiWriter bool) (*Cluster, error) {
-	return abd.Deploy(abd.Options{Servers: n, F: f, Writers: writers, Readers: readers, MultiWriter: multiWriter})
-}
-
-// DeployCAS builds a Coded Atomic Storage register with code dimension
-// k = n-2f. gcDepth < 0 disables garbage collection (plain CAS); gcDepth = δ
-// keeps the δ+1 newest finalized versions (CASGC).
-//
-// Deprecated: use Open with Config.Algorithms "cas" / "casgc" for store
-// handles; the builder helpers (CASBuilder) remain for the executable
-// proofs.
-func DeployCAS(n, f, gcDepth, writers, readers int) (*Cluster, error) {
-	return cas.Deploy(cas.Options{Servers: n, F: f, GCDepth: gcDepth, Writers: writers, Readers: readers})
-}
-
 // DeployTwoVersion builds the bounded-storage erasure-coded SWSR regular
 // register (two coded versions per server, k = n-2f) — the algorithm class
 // of Theorems 4.1/5.1.
@@ -320,56 +296,7 @@ func DeploySolo(n, f, readers int) (*Cluster, error) {
 	return coded.DeploySolo(coded.SoloOptions{Servers: n, F: f, Readers: readers})
 }
 
-// RunWorkload drives the cluster through the seeded workload, metering
-// storage.
-//
-// Deprecated: use Store.RunWorkload on an Open handle, which deploys the
-// cluster itself and runs on any backend (see MIGRATION.md).
-//
-// This is a pure forwarder to the internal workload engine, kept only for
-// compatibility — in the style of a //go:fix inline forwarder, calls should
-// be replaced by their handle-based equivalent rather than new ones written.
-func RunWorkload(cl *Cluster, spec WorkloadSpec) (*WorkloadResult, error) {
-	return workload.Run(cl, spec)
-}
-
-// RunStore partitions a multi-key workload across many independent register
-// deployments (one per shard, any mix of algorithms), runs them in parallel
-// on a worker pool with deterministic per-shard seeds, and aggregates the
-// per-shard storage reports and consistency verdicts. Results are
-// byte-identical across runs regardless of the worker count.
-//
-// Deprecated: use Store.RunMulti on an Open handle, which carries the
-// algorithm mix, backend and fault scenarios in its Config (see
-// MIGRATION.md).
-//
-// This is a pure forwarder to the internal store engine, kept only for
-// compatibility — in the style of a //go:fix inline forwarder, calls should
-// be replaced by their handle-based equivalent rather than new ones written.
-func RunStore(opts StoreOptions) (*StoreResult, error) {
-	return store.Run(opts)
-}
-
-// DeployAlgorithm builds a fresh cluster for the named algorithm ("abd",
-// "abd-mwmr", "cas", "casgc", "twoversion", "twoversion-gossip" or "solo")
-// sized for write concurrency nu, and returns the consistency condition the
-// algorithm guarantees ("atomic" or "regular").
-//
-// Deprecated: Open deploys the named algorithms itself (Config.Algorithms).
-func DeployAlgorithm(alg string, n, f, nu int) (*Cluster, string, error) {
-	return store.DeployAlgorithm(alg, n, f, nu)
-}
-
-// DeployAlgorithmSized builds a cluster for the named algorithm with
-// explicit writer and reader counts — how the live load generator scales
-// client concurrency. Single-writer algorithms reject writers != 1.
-//
-// Deprecated: Open deploys sized clusters itself (WithClients).
-func DeployAlgorithmSized(alg string, n, f, writers, readers int) (*Cluster, string, error) {
-	return store.DeployAlgorithmSized(alg, n, f, writers, readers)
-}
-
-// StoreAlgorithms lists the algorithm names DeployAlgorithm accepts.
+// StoreAlgorithms lists the algorithm names Config.Algorithms accepts.
 func StoreAlgorithms() []string { return store.Algorithms() }
 
 // StoreBackends lists the execution backends StoreOptions.Backend accepts:
@@ -389,27 +316,6 @@ type LiveConfig = live.Config
 // per-operation timeout, and the transport's dial timeout and per-connection
 // send queue capacity. The zero value selects the defaults.
 type NetConfig = netrun.Config
-
-// LiveResult reports a live run: safety fields mirror WorkloadResult, plus
-// wall-clock throughput and per-operation latencies.
-type LiveResult = live.Result
-
-// RunLiveWorkload executes the workload on the live concurrent runtime:
-// every node automaton on its own goroutine, messages over channels, fault
-// drop/delay rules applied in wall-clock time. The simulator remains the
-// determinism oracle; live histories vary run to run and are checked for
-// safety only.
-//
-// Deprecated: use Store.RunWorkload on a handle opened with
-// WithBackend("live") — or WithBackend("net") for real sockets; latencies
-// now travel on WorkloadResult.Latencies (see MIGRATION.md).
-//
-// This is a pure forwarder to the internal live runtime, kept only for
-// compatibility — in the style of a //go:fix inline forwarder, calls should
-// be replaced by their handle-based equivalent rather than new ones written.
-func RunLiveWorkload(cl *Cluster, spec WorkloadSpec, cfg LiveConfig) (*LiveResult, error) {
-	return live.RunConfig(cl, spec, cfg)
-}
 
 // LatencyPercentile returns the p-th percentile (0 < p <= 1) of the given
 // latencies, nearest-rank.
@@ -440,50 +346,6 @@ func FaultScenarioLibrary() []FaultScenario { return faults.Library() }
 
 // FaultScenarioUsage describes the scenario spec grammar, for CLI help.
 func FaultScenarioUsage() string { return faults.Usage() }
-
-// Write performs one write operation to completion under a fair schedule,
-// with a DefaultStepBudget delivery budget (ErrStepBudget when exhausted).
-//
-// Deprecated: open a handle with Open and use Store.Put, which works on
-// every backend and takes a context; WithStepBudget replaces the fixed
-// budget (see MIGRATION.md). This forwarder is simulator-only and kept for
-// compatibility; replace calls rather than writing new ones.
-func Write(cl *Cluster, writer int, value []byte) error {
-	if writer < 0 || writer >= len(cl.Writers) {
-		return fmt.Errorf("shmem: writer index %d out of range [0,%d)", writer, len(cl.Writers))
-	}
-	_, err := runClusterOp(cl, cl.Writers[writer], ioa.Invocation{Kind: ioa.OpWrite, Value: value}, DefaultStepBudget)
-	return err
-}
-
-// Read performs one read operation to completion under a fair schedule and
-// returns the value, with a DefaultStepBudget delivery budget
-// (ErrStepBudget when exhausted).
-//
-// Deprecated: open a handle with Open and use Store.Get, which works on
-// every backend and takes a context; WithStepBudget replaces the fixed
-// budget (see MIGRATION.md). This forwarder is simulator-only and kept for
-// compatibility; replace calls rather than writing new ones.
-func Read(cl *Cluster, reader int) ([]byte, error) {
-	if reader < 0 || reader >= len(cl.Readers) {
-		return nil, fmt.Errorf("shmem: reader index %d out of range [0,%d)", reader, len(cl.Readers))
-	}
-	return runClusterOp(cl, cl.Readers[reader], ioa.Invocation{Kind: ioa.OpRead}, DefaultStepBudget)
-}
-
-// runClusterOp executes one operation under a fair schedule with the given
-// delivery budget, mapping the kernel's bare step-limit sentinel to the
-// typed ErrStepBudget.
-func runClusterOp(cl *Cluster, client ioa.NodeID, inv ioa.Invocation, budget int) ([]byte, error) {
-	op, err := cl.Sys.RunOp(client, inv, budget)
-	if errors.Is(err, ioa.ErrStepLimit) {
-		return nil, fmt.Errorf("shmem: %v at client %d: %w (budget %d deliveries)", inv.Kind, client, ErrStepBudget, budget)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return op.Output, nil
-}
 
 // MakeValue returns a deterministic pseudo-random value of the given size,
 // unique per seed — writes in checked histories must have distinct values.
@@ -583,7 +445,7 @@ func TwoVersionBuilder(n, f int) cluster.Builder {
 // ABDBuilder returns a cluster.Builder for the SWMR ABD register.
 func ABDBuilder(n, f int) cluster.Builder {
 	return func() (*Cluster, error) {
-		return DeployABD(n, f, 1, 1, false)
+		return abd.Deploy(abd.Options{Servers: n, F: f, Writers: 1, Readers: 1})
 	}
 }
 
@@ -591,6 +453,6 @@ func ABDBuilder(n, f int) cluster.Builder {
 // given number of writers.
 func CASBuilder(n, f, writers int) cluster.Builder {
 	return func() (*Cluster, error) {
-		return DeployCAS(n, f, -1, writers, 1)
+		return cas.Deploy(cas.Options{Servers: n, F: f, GCDepth: -1, Writers: writers, Readers: 1})
 	}
 }

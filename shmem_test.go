@@ -8,41 +8,53 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/abd"
+	"repro/internal/cas"
+	"repro/internal/workload"
 )
 
-func TestQuickstartFlow(t *testing.T) {
-	cl, err := DeployABD(5, 2, 1, 1, false)
+// openABD opens a one-shard simulator store of the SWMR ABD register with
+// one writer and one reader.
+func openABD(t *testing.T, n, f int, opts ...Option) *Store {
+	t.Helper()
+	st, err := Open(Config{Algorithms: []string{"abd"}, Servers: n, F: f}, append([]Option{WithClients(1, 1)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+func TestQuickstartFlow(t *testing.T) {
+	st := openABD(t, 5, 2)
+	ctx := context.Background()
 	v := MakeValue(64, 1)
-	if err := Write(cl, 0, v); err != nil {
+	if err := st.PutAs(ctx, 0, 0, v); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(cl, 0)
+	got, err := st.GetAs(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, v) {
 		t.Fatalf("read %q, want %q", got, v)
 	}
-	if err := CheckAtomic(cl.Sys.History(), nil); err != nil {
+	if err := st.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAccessorValidation(t *testing.T) {
-	cl, err := DeployABD(3, 1, 1, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = Write(cl, 5, []byte("x"))
+	st := openABD(t, 3, 1)
+	ctx := context.Background()
+	err := st.PutAs(ctx, 5, 0, []byte("x"))
 	if err == nil {
 		t.Error("out-of-range writer must fail")
 	} else if !strings.Contains(err.Error(), "writer index 5 out of range [0,1)") {
 		t.Errorf("writer error %q does not name the valid range", err)
 	}
-	_, err = Read(cl, 5)
+	_, err = st.GetAs(ctx, 5, 0)
 	if err == nil {
 		t.Error("out-of-range reader must fail")
 	} else if !strings.Contains(err.Error(), "reader index 5 out of range [0,1)") {
@@ -53,15 +65,12 @@ func TestAccessorValidation(t *testing.T) {
 // TestWriteStepBudgetTyped drives the single-op path into budget
 // exhaustion: one delivery cannot complete a quorum write, and the bare
 // kernel step-limit sentinel must surface as the typed ErrStepBudget.
-// Write/Read share the same helper with the same DefaultStepBudget, which
-// at full size is effectively unreachable for a live quorum — so the
-// mapping is pinned at a tiny budget here.
+// Put/Get share the same path with the same DefaultStepBudget, which at
+// full size is effectively unreachable for a live quorum — so the mapping
+// is pinned at a tiny budget here.
 func TestWriteStepBudgetTyped(t *testing.T) {
-	cl, err := DeployABD(5, 2, 1, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = runClusterOp(cl, cl.Writers[0], Invocation{Kind: OpWrite, Value: MakeValue(64, 1)}, 1)
+	st := openABD(t, 5, 2, WithStepBudget(1))
+	err := st.PutAs(context.Background(), 0, 0, MakeValue(64, 1))
 	if !errors.Is(err, ErrStepBudget) {
 		t.Fatalf("budget-1 write error = %v, want ErrStepBudget", err)
 	}
@@ -229,10 +238,14 @@ func TestMeasuredStorageRespectsAllApplicableBounds(t *testing.T) {
 		nu      int
 		regular bool // SWSR regular algorithms: Theorems 4.1/5.1 apply
 	}{
-		{"abd-swmr", func() (*Cluster, error) { return DeployABD(5, 2, 1, 1, false) }, 1, true},
-		{"abd-mwmr", func() (*Cluster, error) { return DeployABD(5, 2, 2, 1, true) }, 2, false},
-		{"cas", func() (*Cluster, error) { return DeployCAS(7, 2, -1, 2, 1) }, 2, false},
-		{"casgc", func() (*Cluster, error) { return DeployCAS(7, 2, 0, 2, 1) }, 2, false},
+		{"abd-swmr", func() (*Cluster, error) { return abd.Deploy(abd.Options{Servers: 5, F: 2, Writers: 1, Readers: 1}) }, 1, true},
+		{"abd-mwmr", func() (*Cluster, error) {
+			return abd.Deploy(abd.Options{Servers: 5, F: 2, Writers: 2, Readers: 1, MultiWriter: true})
+		}, 2, false},
+		{"cas", func() (*Cluster, error) {
+			return cas.Deploy(cas.Options{Servers: 7, F: 2, GCDepth: -1, Writers: 2, Readers: 1})
+		}, 2, false},
+		{"casgc", func() (*Cluster, error) { return cas.Deploy(cas.Options{Servers: 7, F: 2, Writers: 2, Readers: 1}) }, 2, false},
 		{"two-version", func() (*Cluster, error) { return DeployTwoVersion(5, 2, 1) }, 1, true},
 		{"two-version-gossip", func() (*Cluster, error) { return DeployTwoVersionGossip(5, 2, 1) }, 1, true},
 	}
@@ -242,7 +255,7 @@ func TestMeasuredStorageRespectsAllApplicableBounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunWorkload(cl, WorkloadSpec{
+			res, err := workload.Run(cl, WorkloadSpec{
 				Seed: 3, Writes: 4 * tc.nu, Reads: 2, TargetNu: tc.nu, ValueBytes: valueBytes,
 			})
 			if err != nil {
