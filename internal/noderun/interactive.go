@@ -142,6 +142,18 @@ func (s *Interactive) FaultStats() ioa.FaultStats {
 	return s.rt.faultStats()
 }
 
+// Timers reports the runtime's fault-gate timer registry: how many
+// delay/outage timers are pending, whether the registry still exists, and
+// whether stop has run. After Close the registry is gone (tracked false):
+// every pending timer was stopped rather than left to fire into the dead
+// runtime.
+func (s *Interactive) Timers() (pending int, tracked, stopped bool) {
+	rt := s.rt
+	rt.timerMu.Lock()
+	defer rt.timerMu.Unlock()
+	return len(rt.timers), rt.timers != nil, rt.stopped
+}
+
 // Close stops the node goroutines and closes the link. Idempotent.
 func (s *Interactive) Close() error {
 	s.mu.Lock()

@@ -6,94 +6,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/abd"
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/ioa"
 	"repro/internal/live"
 	"repro/internal/netrun"
 	"repro/internal/noderun"
+	"repro/internal/noderun/linktest"
 )
 
 // links opens an interactive session over each backend's link, so the
 // runtime tests below run once per link.
 var links = []struct {
 	name string
-	open func(cl *cluster.Cluster, plan *faults.Plan, stepDur, opTimeout time.Duration) (*noderun.Interactive, error)
+	open linktest.Open
 }{
-	{"live", func(cl *cluster.Cluster, plan *faults.Plan, stepDur, opTimeout time.Duration) (*noderun.Interactive, error) {
-		return live.OpenInteractive(cl, plan, live.Config{StepDur: stepDur, OpTimeout: opTimeout})
+	{"live", live.OpenInteractive},
+	{"net", func(cl *cluster.Cluster, plan *faults.Plan, cfg noderun.Config) (*noderun.Interactive, error) {
+		return netrun.OpenInteractive(cl, plan, netrun.Config{StepDur: cfg.StepDur, OpTimeout: cfg.OpTimeout, Mailbox: cfg.Mailbox, SendTimeout: cfg.SendTimeout})
 	}},
-	{"net", func(cl *cluster.Cluster, plan *faults.Plan, stepDur, opTimeout time.Duration) (*noderun.Interactive, error) {
-		return netrun.OpenInteractive(cl, plan, netrun.Config{StepDur: stepDur, OpTimeout: opTimeout})
-	}},
-}
-
-func deployABD(t *testing.T) *cluster.Cluster {
-	t.Helper()
-	cl, err := abd.Deploy(abd.Options{Servers: 3, F: 1, Writers: 1, Readers: 1, MultiWriter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
-}
-
-func buildPlan(t *testing.T, spec string) *faults.Plan {
-	t.Helper()
-	sc, err := faults.Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := sc.Build(3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan
-}
-
-// TestDelayTimersStoppedOnClose schedules long fault-gate timers — every
-// message delayed, or held behind an outage window, seconds into the future
-// with a short StepDur — and stops the runtime while they are pending: stop
-// must cancel and forget them all. Untracked time.AfterFunc calls kept
-// firing into the dead runtime (and, on the net link, its closed sockets).
-func TestDelayTimersStoppedOnClose(t *testing.T) {
-	holds := []struct {
-		name string
-		plan func(t *testing.T) *faults.Plan
-	}{
-		{"delay", func(t *testing.T) *faults.Plan { return buildPlan(t, "delay=2000:4000") }}, // 2-4s of wall delay at 1ms steps
-		{"outage", func(*testing.T) *faults.Plan {
-			return &faults.Plan{Outages: []faults.Outage{{Start: 0, End: 10000, Symmetric: true}}}
-		}},
-	}
-	for _, lk := range links {
-		for _, hold := range holds {
-			t.Run(lk.name+"/"+hold.name, func(t *testing.T) {
-				cl := deployABD(t)
-				in, err := lk.open(cl, hold.plan(t), time.Millisecond, 50*time.Millisecond)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The write's initial sends are all held, so the op cannot
-				// finish; the short timeout just lets the timers register.
-				_, pending, err := in.Invoke(context.Background(), cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: []byte("v")})
-				if !pending || err == nil {
-					t.Fatalf("expected a started, timed-out op (pending=%v err=%v)", pending, err)
-				}
-				if n, _, _ := in.Timers(); n == 0 {
-					t.Fatal("no fault-gate timers pending; the plan should have held every send")
-				}
-				in.Close()
-				n, tracked, stopped := in.Timers()
-				if tracked {
-					t.Fatalf("%d timers still tracked after stop", n)
-				}
-				if !stopped {
-					t.Fatal("stop did not mark the runtime stopped")
-				}
-			})
-		}
-	}
 }
 
 // TestTimedOutClientRetired loses every message (lossy=1), so the first
@@ -105,8 +36,8 @@ func TestTimedOutClientRetired(t *testing.T) {
 	const opTimeout = 100 * time.Millisecond
 	for _, lk := range links {
 		t.Run(lk.name, func(t *testing.T) {
-			cl := deployABD(t)
-			in, err := lk.open(cl, buildPlan(t, "lossy=1"), 0, opTimeout)
+			cl := linktest.DeployABD(t)
+			in, err := lk.open(cl, linktest.BuildPlan(t, "lossy=1"), noderun.Config{OpTimeout: opTimeout})
 			if err != nil {
 				t.Fatal(err)
 			}
