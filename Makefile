@@ -6,7 +6,7 @@ DATE ?= $(shell date +%Y-%m-%d)
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency
 MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense'
 
-.PHONY: build test race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
+.PHONY: build test race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke perfbench-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
 
 build:
 	$(GO) build ./...
@@ -44,32 +44,40 @@ check-smoke:
 	$(GO) test -race -count=1 -run TestCheckSmokeOnline -v .
 	@echo check-smoke ok
 
-# End-to-end smoke of the live load generator: a small client-count sweep on
-# two shards, consistency-checked per shard, plus one pipelined point
-# (depth > 1) exercising the bounded-mailbox flow-control path.
+# End-to-end smoke of the load generator on the live backend (its default):
+# a small client-count sweep on two shards, consistency-checked per shard,
+# plus one pipelined point (depth > 1) exercising the bounded-mailbox
+# flow-control path.
 liveload-smoke:
 	$(GO) run ./cmd/liveload -clients 1,2,4 -ops 48 -shards 2 -keys 16 > /dev/null
 	$(GO) run ./cmd/liveload -clients 4 -ops 64 -shards 1 -keys 8 -pipeline 4 > /dev/null
 	@echo liveload-smoke ok
 
-# End-to-end smoke of the real-network load generator: the same sweep shape
-# over actual loopback TCP sockets, plus one healing-partition point — the
-# fault class only the net backend can run outside the simulator.
+# End-to-end smoke of the same load generator on the net backend: the same
+# sweep shape over actual loopback TCP sockets, plus one healing-partition
+# point held at the sockets and one pipelined point.
 netload-smoke:
-	$(GO) run ./cmd/netload -clients 1,2,4 -ops 48 -shards 2 -keys 16 > /dev/null
-	$(GO) run ./cmd/netload -clients 1 -ops 16 -shards 1 -keys 4 -faults partition@0:200 > /dev/null
-	$(GO) run ./cmd/netload -clients 4 -ops 64 -shards 1 -keys 8 -pipeline 4 > /dev/null
+	$(GO) run ./cmd/liveload -backend net -clients 1,2,4 -ops 48 -shards 2 -keys 16 > /dev/null
+	$(GO) run ./cmd/liveload -backend net -clients 1 -ops 16 -shards 1 -keys 4 -faults partition@0:200 > /dev/null
+	$(GO) run ./cmd/liveload -backend net -clients 4 -ops 64 -shards 1 -keys 8 -pipeline 4 > /dev/null
 	@echo netload-smoke ok
 
-# Telemetry smoke: a netload sweep with -telemetry serving live /metrics,
-# scraped repeatedly while it runs — every scrape must be a well-formed
-# Prometheus exposition with monotone counters (TestTelemetrySmoke), and the
-# storage gauges a live run publishes must never exceed the final ioa
-# watermark (TestTelemetryScrapeDuringLiveRun).
+# Telemetry smoke: a liveload -backend net sweep with -telemetry serving
+# /metrics, scraped repeatedly while it runs — every scrape must be a
+# well-formed Prometheus exposition with monotone counters
+# (TestTelemetrySmoke), and the storage gauges a live run publishes must
+# never exceed the final ioa watermark (TestTelemetryScrapeDuringLiveRun).
 telemetry-smoke:
-	$(GO) test -race -count=1 -run TestTelemetrySmoke ./cmd/netload
+	$(GO) test -race -count=1 -run TestTelemetrySmoke ./cmd/liveload
 	$(GO) test -race -count=1 -run TestTelemetryScrapeDuringLiveRun .
 	@echo telemetry-smoke ok
+
+# The repository benchmark (perfbench/, a module of its own that imports the
+# store and both wall-clock runtimes): vet and test it, so a change to what it
+# imports cannot leave it unbuildable. Nothing else in CI builds it.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+	@echo perfbench-smoke ok
 
 bench:
 	$(GO) test -bench . -benchtime 1s .
@@ -147,4 +155,4 @@ apicheck-update:
 	@echo wrote API.txt
 
 # Exactly what CI runs.
-ci: build vet fmt-check apicheck race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke
+ci: build vet fmt-check apicheck race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke perfbench-smoke examples fuzz-smoke bench-smoke bench-micro-smoke

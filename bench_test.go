@@ -16,7 +16,7 @@ package shmem
 //	E10 BenchmarkE10ShardedStore     — sharded store: normcost and ops/sec vs shard count
 //	E11 BenchmarkE11FaultScenarios   — storage high-water marks and liveness verdicts across the fault scenario grid
 //	E12 BenchmarkE12LiveThroughput   — live-backend throughput across client counts and pipeline depths
-//	E13 (cmd/liveload, cmd/netload -faults crash-f@...) — crash-recovery durability (not timed)
+//	E13 (cmd/liveload -backend live|net -faults crash-f@...) — crash-recovery durability (not timed)
 //	E14 BenchmarkE14OnlineCheck      — online windowed checking vs offline CheckAtomic vs no check on a live run
 //
 // Custom metrics (b.ReportMetric) carry the experiment's headline numbers so

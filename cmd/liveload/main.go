@@ -1,8 +1,12 @@
-// Command liveload drives the live concurrent runtime — every node automaton
-// on its own goroutine, messages over channels — through a sharded keyspace
-// workload and reports what only a live backend can measure: aggregate
+// Command liveload drives a wall-clock backend through a sharded keyspace
+// workload and reports what only a wall-clock backend can measure: aggregate
 // throughput and per-operation latency percentiles, swept across client
-// counts. Safety is still enforced by default: every shard's merged history
+// counts. -backend selects the link: live (the default) runs every node
+// automaton on its own goroutine with messages over channels; net gives every
+// node its own TCP socket, so protocol messages cross the loopback network as
+// binary frames. Every fault scenario runs on both, partitions included:
+// outage windows hold messages and heal in wall-clock time (-stepdur maps
+// steps to time). Safety is still enforced by default: every shard's history
 // is checked against the algorithm's consistency condition, exactly as the
 // simulator backend does. High-concurrency sweeps can disable the check
 // (-check=false) — the checkers are worst-case exponential in write
@@ -17,6 +21,8 @@
 //	liveload -alg abd-mwmr -clients 1,2,4 -faults lossy=0.01+delay=1:8
 //	liveload -alg abd-mwmr -clients 1000 -pipeline 8 -check=false -ops 4000
 //	liveload -alg cas -clients 2 -ops 100000 -check-online
+//	liveload -backend net -alg cas -shards 2 -clients 1,8,64 -ops 256
+//	liveload -backend net -clients 1,4 -faults partition@0:2000 -stepdur 1ms
 package main
 
 import (
@@ -53,6 +59,7 @@ type gridPoint struct {
 }
 
 func run() error {
+	backend := flag.String("backend", "live", "wall-clock backend: live (in-process mailboxes) | net (a TCP socket per node)")
 	alg := flag.String("alg", "cas", "algorithm (multi-writer: "+strings.Join(shmem.StoreAlgorithms(), " | ")+")")
 	n := flag.Int("n", 5, "servers per shard N")
 	f := flag.Int("f", 1, "tolerated server failures per shard f")
@@ -64,7 +71,8 @@ func run() error {
 	valueBytes := flag.Int("valuebytes", 128, "bytes per written value")
 	seed := flag.Int64("seed", 1, "workload and fault seed")
 	faultSpec := flag.String("faults", "", "fault scenario applied to every shard (lossy=P, delay=MIN:MAX, partition@START:HEAL, crash-f@STEP[:RECOVER], composable with +)")
-	stepDur := flag.Duration("stepdur", 100*time.Microsecond, "wall-clock duration of one fault delay step")
+	listen := flag.String("listen", "127.0.0.1:0", "net backend only: listen address spec; keep the port 0 so every node gets its own ephemeral port")
+	stepDur := flag.Duration("stepdur", 100*time.Microsecond, "wall-clock duration of one fault step (delays and partition windows)")
 	opTimeout := flag.Duration("optimeout", 5*time.Second, "per-operation completion timeout")
 	pipeline := flag.Int("pipeline", 1, "operations kept in flight per client (per-client order preserved)")
 	check := flag.Bool("check", true, "consistency-check every shard history (disable for high-concurrency sweeps; the checkers are exponential in write concurrency)")
@@ -74,11 +82,36 @@ func run() error {
 	statEvery := flag.Duration("stat-interval", 2*time.Second, "interval between telemetry stat lines on stderr (with -telemetry)")
 	flag.Parse()
 
+	if *backend != "live" && *backend != "net" {
+		return fmt.Errorf("%w %q (liveload runs the wall-clock backends: live, net)", shmem.ErrUnknownBackend, *backend)
+	}
 	clients, err := parseClients(*clientsFlag)
 	if err != nil {
 		return err
 	}
-	cfg := shmem.LiveConfig{StepDur: *stepDur, OpTimeout: *opTimeout}
+	var faultSpecs []string
+	if *faultSpec != "" {
+		faultSpecs = []string{*faultSpec}
+	}
+	// The store reads the runtime config of the backend it runs on.
+	cfg := shmem.Config{
+		Algorithms: []string{*alg},
+		Servers:    *n,
+		F:          *f,
+		Shards:     *shards,
+		Backend:    *backend,
+		Faults:     faultSpecs,
+		Live:       shmem.LiveConfig{StepDur: *stepDur, OpTimeout: *opTimeout},
+		Net:        shmem.NetConfig{ListenAddr: *listen, StepDur: *stepDur, OpTimeout: *opTimeout},
+		Seed:       *seed,
+	}
+	load := shmem.MultiWorkloadSpec{Seed: *seed, Keys: *keys, Ops: *ops, ReadFraction: *readFrac, ValueBytes: *valueBytes}
+	opts := []shmem.Option{shmem.WithPipeline(*pipeline)}
+	if !*check {
+		opts = append(opts, shmem.WithSkipCheck())
+	} else if *checkOnline {
+		opts = append(opts, shmem.WithOnlineCheck(), shmem.WithOnlineWindow(*checkWindow))
+	}
 
 	var reg *shmem.Telemetry
 	if *telemetryAddr != "" {
@@ -88,13 +121,17 @@ func run() error {
 			return err
 		}
 		defer srv.Close()
+		opts = append(opts, shmem.WithTelemetry(reg))
 		stopStats := telemetry.LogStats(os.Stderr, reg, *statEvery)
 		defer stopStats()
 		fmt.Printf("telemetry        : %s/metrics (traces at /trace, pprof at /debug/pprof/)\n", srv.URL())
 	}
 
-	fmt.Printf("live load        : %s, %d shards x (N=%d f=%d), %d keys, %d ops/setting, pipeline %d, seed %d\n",
-		*alg, *shards, *n, *f, *keys, *ops, *pipeline, *seed)
+	fmt.Printf("%-17s: %s, %d shards x (N=%d f=%d), %d keys, %d ops/setting, pipeline %d, seed %d\n",
+		*backend+" load", *alg, *shards, *n, *f, *keys, *ops, *pipeline, *seed)
+	if *backend == "net" {
+		fmt.Printf("transport        : TCP %s, one socket per node\n", *listen)
+	}
 	fmt.Printf("fault scenario   : %s\n", orNone(*faultSpec))
 	if !*check {
 		fmt.Println("consistency check: disabled (-check=false)")
@@ -110,7 +147,7 @@ func run() error {
 		"clients", "shards", "completed", "pending", "lost", "ops/sec", "verified", "lag", "p50", "p99", "verdict")
 
 	for _, c := range clients {
-		pt, err := runPoint(*alg, *n, *f, *shards, c, *keys, *ops, *readFrac, *valueBytes, *seed, *faultSpec, *pipeline, *check, *checkOnline, *checkWindow, cfg, reg)
+		pt, err := runPoint(cfg, opts, load, c)
 		if err != nil {
 			return err
 		}
@@ -126,47 +163,20 @@ func run() error {
 	return nil
 }
 
-// runPoint runs one client-count setting: a store handle opened on the
-// live backend with `clients` writers and readers per shard runs the
-// keyspace load through the parallel store engine, which partitions it,
-// deploys a fresh cluster per shard, consistency-checks every shard (unless
-// disabled) and aggregates the latency percentiles.
-func runPoint(alg string, n, f, shards, clients, keys, ops int, readFrac float64, valueBytes int, seed int64, faultSpec string, pipeline int, check, checkOnline bool, checkWindow int, cfg shmem.LiveConfig, reg *shmem.Telemetry) (gridPoint, error) {
-	var faultSpecs []string
-	if faultSpec != "" {
-		faultSpecs = []string{faultSpec}
-	}
-	opts := []shmem.Option{shmem.WithClients(clients, clients), shmem.WithPipeline(pipeline)}
-	if reg != nil {
-		opts = append(opts, shmem.WithTelemetry(reg))
-	}
-	if !check {
-		opts = append(opts, shmem.WithSkipCheck())
-	} else if checkOnline {
-		opts = append(opts, shmem.WithOnlineCheck(), shmem.WithOnlineWindow(checkWindow))
-	}
-	st, err := shmem.Open(shmem.Config{
-		Algorithms: []string{alg},
-		Servers:    n,
-		F:          f,
-		Shards:     shards,
-		Backend:    "live",
-		Faults:     faultSpecs,
-		Live:       cfg,
-		Seed:       seed,
-	}, opts...)
+// runPoint runs one client-count setting: a store handle opened with cfg
+// (the selected backend and its runtime config) and `clients` writers and
+// readers per shard runs the keyspace load through the parallel store
+// engine, which partitions it, deploys a fresh cluster per shard,
+// consistency-checks every shard (unless disabled) and aggregates the
+// latency percentiles.
+func runPoint(cfg shmem.Config, opts []shmem.Option, load shmem.MultiWorkloadSpec, clients int) (gridPoint, error) {
+	st, err := shmem.Open(cfg, append([]shmem.Option{shmem.WithClients(clients, clients)}, opts...)...)
 	if err != nil {
 		return gridPoint{}, err
 	}
 	defer st.Close()
-	res, err := st.RunMulti(shmem.MultiWorkloadSpec{
-		Seed:         seed,
-		Keys:         keys,
-		Ops:          ops,
-		ReadFraction: readFrac,
-		TargetNu:     clients,
-		ValueBytes:   valueBytes,
-	})
+	load.TargetNu = clients
+	res, err := st.RunMulti(load)
 	if err != nil {
 		return gridPoint{}, fmt.Errorf("clients=%d: %w", clients, err)
 	}

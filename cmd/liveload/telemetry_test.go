@@ -17,15 +17,15 @@ import (
 // name, optional label set, one float value.
 var sampleLineRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0-9eE.+-]+$|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [+-]Inf$|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? NaN$`)
 
-// TestTelemetrySmoke runs netload with -telemetry and scrapes the live
-// /metrics endpoint repeatedly while the sweep executes: every scrape must
-// be a well-formed exposition, counters must be monotone across consecutive
-// scrapes, and the net-backend families (transport counters, storage
-// gauges, latency histograms) must appear. This is the in-process version of
-// `make telemetry-smoke`.
+// TestTelemetrySmoke runs liveload -backend net with -telemetry and scrapes
+// the live /metrics endpoint repeatedly while the sweep executes: every
+// scrape must be a well-formed exposition, counters must be monotone across
+// consecutive scrapes, and the net-backend families (transport counters,
+// storage gauges, latency histograms) must appear. This is the in-process
+// version of `make telemetry-smoke`.
 func TestTelemetrySmoke(t *testing.T) {
-	flag.CommandLine = flag.NewFlagSet("netload", flag.ContinueOnError)
-	os.Args = []string{"netload",
+	flag.CommandLine = flag.NewFlagSet("liveload", flag.ContinueOnError)
+	os.Args = []string{"liveload", "-backend", "net",
 		"-clients", "2", "-ops", "600", "-shards", "1", "-keys", "8",
 		"-telemetry", "127.0.0.1:0", "-stat-interval", "100ms"}
 

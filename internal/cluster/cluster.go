@@ -99,22 +99,6 @@ func (c *Cluster) Automaton(id ioa.NodeID) (ioa.Node, error) {
 	return c.Sys.Node(id)
 }
 
-// RecoverableAutomaton returns the automaton registered under id if it
-// offers the crash-recovery Snapshot/Restore surface, or an error naming the
-// node otherwise. Wall-clock backends call it for every node a fault plan
-// schedules a recovery for, so the missing surface fails at setup time.
-func (c *Cluster) RecoverableAutomaton(id ioa.NodeID) (ioa.Recoverable, error) {
-	n, err := c.Sys.Node(id)
-	if err != nil {
-		return nil, err
-	}
-	r, ok := n.(ioa.Recoverable)
-	if !ok {
-		return nil, fmt.Errorf("cluster: node %d (%T) has no Snapshot/Restore surface", id, n)
-	}
-	return r, nil
-}
-
 // ClientAutomaton returns the client automaton registered under id.
 func (c *Cluster) ClientAutomaton(id ioa.NodeID) (ioa.Client, error) {
 	n, err := c.Sys.Node(id)

@@ -1,8 +1,6 @@
 package consistency
 
 import (
-	"bytes"
-	"fmt"
 	"sort"
 
 	"repro/internal/ioa"
@@ -234,12 +232,4 @@ func (c *linChecker) blame() ioa.Op {
 		return c.ops[0]
 	}
 	return ioa.Op{}
-}
-
-// MustBeValue is a test helper asserting a read output.
-func MustBeValue(op ioa.Op, want []byte) error {
-	if !bytes.Equal(op.Output, want) {
-		return fmt.Errorf("consistency: op %s returned %q, want %q", op, op.Output, want)
-	}
-	return nil
 }

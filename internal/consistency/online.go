@@ -271,13 +271,6 @@ func (c *OnlineChecker) MaxWindow() int {
 	return c.maxWindow
 }
 
-// Windows returns the number of retirement checks performed.
-func (c *OnlineChecker) Windows() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.windows
-}
-
 // checkSegment decides which register values a linearization of the
 // cleanly-cut segment seg may end with, given that it must start from one
 // of the carry values. It returns the attainable final-value set, or the

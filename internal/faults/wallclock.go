@@ -30,10 +30,11 @@ import (
 	"repro/internal/ioa"
 )
 
-// NodeHooks receives the wall-clock schedule's node events. Both callbacks
-// run on the WallClock's single event goroutine, in schedule order; a
-// backend's Crash hook stops the node (joining its loop is allowed — the
-// event goroutine has no other duties) and its Recover hook restarts the
+// NodeHooks receives the wall-clock schedule's node events. The callbacks
+// run in schedule order: events at step 0 inside Start, on its caller's
+// goroutine, and the rest on the WallClock's single event goroutine. A
+// backend's Crash hook stops the node (joining its loop is allowed — neither
+// goroutine has other duties meanwhile) and its Recover hook restarts the
 // node from its last durable checkpoint.
 type NodeHooks struct {
 	Crash   func(node ioa.NodeID)
@@ -65,8 +66,10 @@ func NewWallClock(plan *Plan, stepDur time.Duration) *WallClock {
 	return &WallClock{plan: plan, stepDur: stepDur, done: make(chan struct{})}
 }
 
-// Start stamps the epoch and, when the plan schedules node events, launches
-// the event goroutine that fires hooks at each event's wall-clock time.
+// Start stamps the epoch, fires the events due at step 0 before it returns
+// — so a step-0 crash precedes anything the caller does next, such as the
+// first operation — and, when later events remain, launches the event
+// goroutine that fires hooks at each event's wall-clock time.
 func (w *WallClock) Start(h NodeHooks) {
 	if w == nil {
 		return
@@ -76,6 +79,10 @@ func (w *WallClock) Start(h NodeHooks) {
 		return
 	}
 	events := w.plan.NodeEvents()
+	for len(events) > 0 && events[0].Step <= 0 {
+		w.fire(events[0], h)
+		events = events[1:]
+	}
 	if len(events) == 0 {
 		return
 	}
@@ -99,16 +106,21 @@ func (w *WallClock) run(events []ioa.NodeFaultEvent, h NodeHooks) {
 			return
 		case <-timer.C:
 		}
-		if ev.Recover {
-			w.recoveries.Add(1)
-			if h.Recover != nil {
-				h.Recover(ev.Node)
-			}
-		} else {
-			w.crashes.Add(1)
-			if h.Crash != nil {
-				h.Crash(ev.Node)
-			}
+		w.fire(ev, h)
+	}
+}
+
+// fire counts one node event and runs its hook.
+func (w *WallClock) fire(ev ioa.NodeFaultEvent, h NodeHooks) {
+	if ev.Recover {
+		w.recoveries.Add(1)
+		if h.Recover != nil {
+			h.Recover(ev.Node)
+		}
+	} else {
+		w.crashes.Add(1)
+		if h.Crash != nil {
+			h.Crash(ev.Node)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,6 +67,35 @@ func TestWallClockFiresEventsInOrder(t *testing.T) {
 	}
 	if wc.Crashes() != 2 || wc.Recoveries() != 1 {
 		t.Errorf("counters = %d crashes, %d recoveries; want 2, 1", wc.Crashes(), wc.Recoveries())
+	}
+}
+
+// TestWallClockFiresStepZeroInStart checks that events due at step 0 fire
+// before Start returns, so a step-0 crash lands before the caller's first
+// operation instead of racing it; later events stay on the event goroutine.
+func TestWallClockFiresStepZeroInStart(t *testing.T) {
+	plan := &Plan{Crashes: []Crash{{Node: 1, Step: 0}, {Node: 2, Step: 0}, {Node: 3, Step: 1 << 30}}}
+	wc := NewWallClock(plan, time.Millisecond)
+	var returned atomic.Bool
+	var fired []ioa.NodeID
+	var mu sync.Mutex
+	wc.Start(NodeHooks{Crash: func(n ioa.NodeID) {
+		if returned.Load() {
+			t.Errorf("step-0 crash of node %d fired after Start returned", n)
+		}
+		mu.Lock()
+		fired = append(fired, n)
+		mu.Unlock()
+	}})
+	returned.Store(true)
+	wc.Stop()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
+		t.Errorf("fired %v, want [1 2] (the far-future crash abandoned by Stop)", fired)
+	}
+	if wc.Crashes() != 2 {
+		t.Errorf("Crashes = %d, want 2", wc.Crashes())
 	}
 }
 

@@ -57,8 +57,9 @@ func NewHistory() *History {
 }
 
 // HistoryFromOps builds a History from externally recorded operations — the
-// live runtime merges its per-client logs through this. Ops must be ordered
-// by InvokeStep; IDs are reassigned to slice order, and the open-operation
+// node runtime builds a run's pending tail from its OpFeed through this, and
+// the interactive session its checked record. Ops must be ordered by
+// InvokeStep; IDs are reassigned to slice order, and the open-operation
 // index and completed-write count are rebuilt so the result behaves exactly
 // like a kernel-recorded history. A client may have at most one pending
 // operation (the well-formedness condition of Section 3).

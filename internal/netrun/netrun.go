@@ -75,8 +75,8 @@ type Config struct {
 	// Checkpoint is the durable-state snapshot interval for nodes the fault
 	// plan schedules a recovery for (default 5ms).
 	Checkpoint time.Duration
-	// Sink, when non-nil, switches the runtime to streaming history mode;
-	// see noderun.Config.
+	// Sink receives a batch run's operations through the runtime's one
+	// ioa.OpFeed; Run only, see noderun.Config.
 	Sink ioa.HistorySink
 	// SyncOps, when positive, installs periodic quiescence points in the
 	// batch drivers; see noderun.Config.

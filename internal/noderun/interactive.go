@@ -47,7 +47,9 @@ var ErrClientRetired = errors.New("client retired after a timed-out operation")
 // link, starts the node goroutines and returns a session ready for Invoke.
 // The fault plan applies in full, exactly as in Run: drop/delay rules and
 // outage windows at every send, scheduled crash/recovery on the runtime's
-// wall-clock step mapping. Close stops the goroutines and the link.
+// wall-clock step mapping. The session records no history — its caller
+// keeps the checked record — and cfg.Sink applies to Run only. Close stops
+// the goroutines and the link.
 func OpenInteractive(b Backend, cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Interactive, error) {
 	cfg = cfg.withDefaults()
 	if err := cl.Validate(); err != nil {

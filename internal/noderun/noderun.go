@@ -19,12 +19,13 @@
 //     byte-identical histories and fingerprints. The runtime makes NO such
 //     promise — schedules here are an accident of goroutine timing, and two
 //     runs of the same spec produce different histories.
-//   - Safety is checked the same way on both: operations are recorded in
-//     per-client logs (mutex-free — each log is owned by its node's
-//     goroutine, ordered by a shared atomic clock) and merged into an
-//     ioa.History for the internal/consistency checkers. A history the
-//     runtime produced must pass the same condition the algorithm guarantees
-//     on the simulator.
+//   - Safety is checked the same way on both: a batch run records every
+//     operation through one ioa.OpFeed, whose clock stamps invocations and
+//     responses on the node goroutines and which releases settled operations
+//     in invocation order into a sink — an online checker, or an ioa.History
+//     for the internal/consistency checkers. A history the runtime produced
+//     must pass the same condition the algorithm guarantees on the
+//     simulator.
 //   - Faults: drop and delay rules of a faults.Plan are reused verbatim —
 //     MessageFate is consulted at send time with a global send sequence
 //     number, exactly as the kernel does, with delay steps scaled to wall
@@ -95,13 +96,14 @@ type Config struct {
 	// restarts from its last checkpoint; state mutated after it is lost,
 	// exactly the crash-recovery model the paper's storage bounds assume.
 	Checkpoint time.Duration
-	// Sink, when non-nil, switches the runtime to streaming history mode:
-	// operations are registered with an ioa.OpFeed at invocation and
-	// released into the sink in invocation order as they settle, instead of
-	// accumulating in per-client logs merged at shutdown. The feed's own
-	// clock stamps every op, and the result's History then carries only the
-	// pending tail (the sink has absorbed everything else). Feed an
-	// OnlineChecker here to verify the run while it executes.
+	// Sink receives a batch run's operations: Run registers each with an
+	// ioa.OpFeed at invocation, and the feed releases them into the sink in
+	// invocation order as they settle. With a Sink the result's History
+	// carries only the pending tail (the sink has absorbed everything else);
+	// without one the feed fills a fresh ioa.History, which becomes the
+	// result's History. Feed an OnlineChecker here to verify the run while
+	// it executes. Sink applies to Run only: an interactive session records
+	// nothing, since its caller keeps the checked record.
 	Sink ioa.HistorySink
 	// SyncOps, when positive, installs periodic quiescence points in the
 	// batch drivers: after every SyncOps issued operations (globally, across
@@ -223,32 +225,19 @@ type invokeEvent struct {
 	span  *telemetry.Span // sampled lifecycle trace; nil for unsampled ops
 }
 
-// opRecord is one per-client log entry. InvokeTS/RespondTS come from the
-// runtime's atomic clock, whose modification order is consistent with real
-// time — so merged records preserve the real-time precedence relation the
-// consistency checkers test.
-type opRecord struct {
-	kind      ioa.OpKind
-	input     []byte
-	output    []byte
-	invokeTS  int64
-	respondTS int64 // -1 while pending
-}
-
 // Node is everything a node goroutine owns: the automaton clone, its
-// mailbox, the client op log and the server storage maxima. Only the node's
-// own goroutine touches these fields between start and join — across a
-// scheduled crash, ownership passes to the WallClock's event goroutine (which
-// joins the loop first) and back to the next incarnation's loop.
+// mailbox, the client's outstanding operation and the server storage
+// maxima. Only the node's own goroutine touches these fields between start
+// and join — across a scheduled crash, ownership passes to the goroutine
+// firing the WallClock's node events (which joins the loop first) and back
+// to the next incarnation's loop.
 type Node struct {
 	id   ioa.NodeID
 	node ioa.Node
 	mb   chan event // one channel for the node's whole lifetime, across incarnations
 
-	log         []opRecord
-	pendingIdx  int         // index in log of the outstanding op; -1 when none
-	pendingTk   *ioa.Ticket // outstanding op's feed ticket (streaming mode)
-	pendingDone chan []byte
+	pendingDone chan []byte    // outstanding op's response channel; nil when no op is in progress
+	pendingTk   *ioa.Ticket    // outstanding op's feed ticket; nil when nothing records
 	invq        []*invokeEvent // pipelined invocations awaiting their turn
 	deferred    []event        // events siphoned off mb while blocked on a peer's full mailbox
 
@@ -285,9 +274,8 @@ type Runtime struct {
 	nodes map[ioa.NodeID]*Node
 	order []*Node // nodes in ID order
 
-	clock atomic.Int64  // history timestamp source (batch mode)
-	feed  *ioa.OpFeed   // streaming-mode op pipeline; nil in batch mode
-	seq   atomic.Uint64 // global send sequence number for MessageFate
+	feed *ioa.OpFeed   // records a batch run's operations; nil in an interactive session
+	seq  atomic.Uint64 // global send sequence number for MessageFate
 
 	tracer *telemetry.Tracer // sampled op-lifecycle spans; nil when telemetry is off
 
@@ -320,9 +308,6 @@ func newRuntime(b Backend, cl *cluster.Cluster, plan *faults.Plan, cfg Config) (
 		timers: make(map[*time.Timer]struct{}),
 		done:   make(chan struct{}),
 	}
-	if cfg.Sink != nil {
-		rt.feed = ioa.NewOpFeed(cfg.Sink)
-	}
 	if cfg.Telemetry.Active() {
 		rt.tracer = cfg.Telemetry.Registry.Tracer()
 	}
@@ -332,12 +317,11 @@ func newRuntime(b Backend, cl *cluster.Cluster, plan *faults.Plan, cfg Config) (
 			return nil, err
 		}
 		ns := &Node{
-			id:         id,
-			node:       n.Clone(),
-			mb:         make(chan event, cfg.Mailbox),
-			pendingIdx: -1,
-			crashCh:    make(chan struct{}),
-			loopDone:   make(chan struct{}),
+			id:       id,
+			node:     n.Clone(),
+			mb:       make(chan event, cfg.Mailbox),
+			crashCh:  make(chan struct{}),
+			loopDone: make(chan struct{}),
 		}
 		ns.meter, _ = ns.node.(ioa.StorageMeter)
 		ns.metered = ns.meter != nil
@@ -372,7 +356,8 @@ func (rt *Runtime) Nodes() []*Node { return rt.order }
 
 // start launches one goroutine per node, then starts the wall clock: its
 // epoch is stamped after every loop is running, so a crash scheduled at step
-// 0 still finds a live incarnation to stop.
+// 0 still finds a live incarnation to stop — and it stops it before start
+// returns, ahead of the first operation.
 func (rt *Runtime) start() {
 	for _, ns := range rt.order {
 		rt.wg.Add(1)
@@ -384,9 +369,8 @@ func (rt *Runtime) start() {
 // stop shuts the node goroutines down, stops every pending delay timer,
 // closes the link and joins everything. The wall clock stops first: after
 // wc.Stop returns no crash/recovery hook is in flight, so no new loop
-// goroutine can race wg.Wait. After stop returns, the per-node logs and
-// storage maxima are safe to read from the caller, and no timer from this
-// run remains scheduled.
+// goroutine can race wg.Wait. After stop returns, the storage maxima are
+// final and no timer from this run remains scheduled.
 func (rt *Runtime) stop() {
 	rt.wc.Stop()
 	close(rt.done)
@@ -496,15 +480,15 @@ func (rt *Runtime) checkpoint(ns *Node) {
 	rt.checkpoints.Add(1)
 }
 
-// crashNode stops a node mid-run: runs on the WallClock's event goroutine.
-// The incarnation's loop is signalled and joined, the link's side of the
-// node is crashed (the net link closes its socket), then the node's
-// volatile state — everything but the checkpoint — is discarded: queued
-// mailbox events, siphoned events, not-yet-started invocations (abandoned,
-// so their drivers see "never happened"). An operation the automaton held
-// mid-protocol stays pending in the log forever, which is exactly what the
-// consistency checkers' completion semantics expect of an op lost to a
-// crash.
+// crashNode stops a node mid-run: runs on the WallClock's event goroutine,
+// or inside start for a crash at step 0. The incarnation's loop is signalled
+// and joined, the link's side of the node is crashed (the net link closes
+// its socket), then the node's volatile state — everything but the
+// checkpoint — is discarded: queued mailbox events, siphoned events,
+// not-yet-started invocations (abandoned, so their drivers see "never
+// happened"). An operation the automaton held mid-protocol stays pending in
+// the history forever, which is exactly what the consistency checkers'
+// completion semantics expect of an op lost to a crash.
 func (rt *Runtime) crashNode(id ioa.NodeID) {
 	ns := rt.nodes[id]
 	if ns == nil || ns.down.Load() {
@@ -533,7 +517,6 @@ func (rt *Runtime) discardVolatile(ns *Node) {
 				ie.state.CompareAndSwap(invQueued, invAbandoned)
 			}
 			ns.invq = nil
-			ns.pendingIdx = -1
 			if ns.pendingTk != nil {
 				// The op dies with the crash: permanently pending.
 				ns.pendingTk.Abandon()
@@ -546,8 +529,8 @@ func (rt *Runtime) discardVolatile(ns *Node) {
 }
 
 // recoverNode restarts a crashed node from its last durable checkpoint: runs
-// on the WallClock's event goroutine, strictly after the node's crash (the
-// clock fires all node events in schedule order on one goroutine). The new
+// where crashNode does, strictly after the node's crash (the clock fires all
+// node events in schedule order). The new
 // incarnation is a pristine clone of the deployed automaton with the
 // checkpoint restored onto it — volatile state since the checkpoint is lost,
 // the durable state provably survives. Messages that raced the crash die
@@ -593,7 +576,7 @@ func (rt *Runtime) handle(ns *Node, ev event) {
 	// Start queued invocations while the client is free. Normally at most
 	// one starts; the loop only cascades when an invocation responds
 	// immediately (e.g. a degenerate automaton), or skips abandoned entries.
-	for ns.pendingIdx < 0 && ns.pendingTk == nil && len(ns.invq) > 0 {
+	for ns.pendingDone == nil && len(ns.invq) > 0 {
 		ie := ns.invq[0]
 		ns.invq = ns.invq[1:]
 		if !ie.state.CompareAndSwap(invQueued, invStarted) {
@@ -603,46 +586,28 @@ func (rt *Runtime) handle(ns *Node, ev event) {
 		ns.pendingSpan = ie.span
 		if rt.feed != nil {
 			ns.pendingTk = rt.feed.Begin(ns.id, ie.inv.Kind, ie.inv.Value)
-		} else {
-			ns.log = append(ns.log, opRecord{
-				kind:      ie.inv.Kind,
-				input:     ie.inv.Value,
-				invokeTS:  rt.clock.Add(1),
-				respondTS: -1,
-			})
-			ns.pendingIdx = len(ns.log) - 1
 		}
 		ns.pendingDone = ie.done
 		rt.apply(ns, ns.node.(ioa.Client).Invoke(ie.inv))
 	}
 }
 
-// apply records a response (the timestamp is taken before the effects' sends
+// apply records a response (the feed stamps it before the effects' sends
 // are dispatched: the response is determined by then, so shrinking the
 // recorded operation interval to that point is sound for the checkers — the
 // linearization point of a quorum operation precedes response
 // determination), dispatches the sends, and refreshes the storage meters.
 func (rt *Runtime) apply(ns *Node, eff ioa.Effects) {
-	if eff.Response != nil && (ns.pendingIdx >= 0 || ns.pendingTk != nil) {
+	if eff.Response != nil && ns.pendingDone != nil {
 		out := eff.Response.Value
 		if ns.pendingTk != nil {
-			// Stamped and released to the sink before the effects' sends
-			// dispatch, so the feed clock preserves real-time precedence
-			// exactly as the batch clock does.
 			ns.pendingTk.Complete(out)
 			ns.pendingTk = nil
-		} else {
-			rec := &ns.log[ns.pendingIdx]
-			rec.output = out
-			rec.respondTS = rt.clock.Add(1)
-			ns.pendingIdx = -1
 		}
 		ns.pendingSpan.Mark(telemetry.StageEffect)
 		ns.pendingSpan = nil
-		if ns.pendingDone != nil {
-			ns.pendingDone <- out // buffered, single outstanding op: never blocks
-			ns.pendingDone = nil
-		}
+		ns.pendingDone <- out // buffered, single outstanding op: never blocks
+		ns.pendingDone = nil
 	}
 	for _, send := range eff.Sends {
 		rt.send(ns, send)

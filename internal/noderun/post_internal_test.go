@@ -39,7 +39,7 @@ func bareRuntime(cfg Config) *Runtime {
 func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 	rt := bareRuntime(Config{Mailbox: 4, SendTimeout: 10 * time.Second})
 	defer close(rt.done)
-	ns := &Node{mb: make(chan event, 4), pendingIdx: -1}
+	ns := &Node{mb: make(chan event, 4)}
 
 	const n = 1000
 	got := make([]int, 0, n)
@@ -75,7 +75,7 @@ func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 func TestPostDropsAfterSendTimeout(t *testing.T) {
 	rt := bareRuntime(Config{Mailbox: 2, SendTimeout: 20 * time.Millisecond})
 	defer close(rt.done)
-	ns := &Node{mb: make(chan event, 2), pendingIdx: -1}
+	ns := &Node{mb: make(chan event, 2)}
 	for i := 0; i < 2; i++ {
 		if !rt.Post(ns, 0, nil) {
 			t.Fatal("post to empty mailbox failed")

@@ -2,7 +2,6 @@ package noderun
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -44,6 +43,13 @@ func Run(b Backend, cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workl
 	if err != nil {
 		return nil, 0, err
 	}
+	var hist *ioa.History
+	sink := cfg.Sink
+	if sink == nil {
+		hist = ioa.NewHistory()
+		sink = hist
+	}
+	rt.feed = ioa.NewOpFeed(sink)
 	rt.start()
 	stopTelemetry := rt.startTelemetry(cl, spec)
 
@@ -70,21 +76,20 @@ func Run(b Backend, cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workl
 		Faults:           rt.faultStats(),
 		Latencies:        fres.Latencies,
 	}
-	if rt.feed != nil {
-		// Streaming mode: the sink has already absorbed every settled op in
-		// invocation order; all that remains here is the pending tail, which
-		// Flush settles as abandoned and reports. History carries just those
-		// pending ops, so the pending/quiescent accounting below is
-		// unchanged while run memory stays bounded by the sink, not the run.
-		pend, ferr := rt.feed.Flush()
-		if ferr != nil {
-			return nil, 0, fmt.Errorf("%s: history sink: %w", b.Name, ferr)
-		}
+	// The sink has already absorbed every settled op in invocation order;
+	// all that remains is the pending tail, which Flush settles as abandoned
+	// and reports. With a caller's sink, History carries just those pending
+	// ops, so the pending/quiescent accounting below is the same either way
+	// while run memory stays bounded by the sink, not the run.
+	pend, err := rt.feed.Flush()
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: history sink: %w", b.Name, err)
+	}
+	res.History = hist
+	if hist == nil {
 		if res.History, err = ioa.HistoryFromOps(pend); err != nil {
 			return nil, 0, err
 		}
-	} else if res.History, err = rt.mergeHistory(cl); err != nil {
-		return nil, 0, err
 	}
 	if pending := len(res.History.PendingOps()); pending > 0 {
 		if spec.FaultPlan == nil {
@@ -106,33 +111,6 @@ func checkClients(cl *cluster.Cluster) error {
 		}
 	}
 	return nil
-}
-
-// mergeHistory folds the per-client logs into one ioa.History ordered by the
-// runtime clock.
-func (rt *Runtime) mergeHistory(cl *cluster.Cluster) (*ioa.History, error) {
-	var ops []ioa.Op
-	for _, ids := range [][]ioa.NodeID{cl.Writers, cl.Readers} {
-		for _, id := range ids {
-			ns := rt.nodes[id]
-			for _, rec := range ns.log {
-				op := ioa.Op{
-					Client:      id,
-					Kind:        rec.kind,
-					Input:       rec.input,
-					Output:      rec.output,
-					InvokeStep:  int(rec.invokeTS),
-					RespondStep: -1,
-				}
-				if rec.respondTS >= 0 {
-					op.RespondStep = int(rec.respondTS)
-				}
-				ops = append(ops, op)
-			}
-		}
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].InvokeStep < ops[j].InvokeStep })
-	return ioa.HistoryFromOps(ops)
 }
 
 // storageReport sums the per-server maxima observed by the node goroutines.

@@ -447,16 +447,14 @@ func runShard(o Options, backend Backend, alg string, load workload.ShardLoad) (
 		if syncOps <= 0 {
 			syncOps = consistency.DefaultWindowOps
 		}
-		switch backend.Name() {
-		case BackendLive:
+		if backend.Name() != BackendSim {
+			// Either wall-clock backend: set both configs, as the telemetry
+			// block above does; the backend reads its own.
 			checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(o.OnlineWindow))
-			opts.Live.Sink = checker
+			opts.Live.Sink, opts.Net.Sink = checker, checker
 			if opts.Live.SyncOps == 0 {
 				opts.Live.SyncOps = syncOps
 			}
-		case BackendNet:
-			checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(o.OnlineWindow))
-			opts.Net.Sink = checker
 			if opts.Net.SyncOps == 0 {
 				opts.Net.SyncOps = syncOps
 			}

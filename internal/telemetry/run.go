@@ -44,10 +44,6 @@ const (
 	MetricTransportBatchFrames = "shmem_transport_batch_frames"
 )
 
-// BatchBuckets returns the bucket bounds for compound-batch sizes (frames
-// per flush), matching the transport's max batch of 64.
-func BatchBuckets() []float64 { return []float64{1, 2, 4, 8, 16, 32, 64} }
-
 // RunTelemetry configures telemetry for one runtime instance. Runtimes
 // treat a nil *RunTelemetry (or nil Registry) as "off" and pay nothing.
 type RunTelemetry struct {
